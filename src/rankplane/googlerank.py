@@ -77,6 +77,19 @@ class RankVector:
         return len(self.values)
 
 
+def _row_block(m: sp.csr_matrix, a: int, b: int) -> sp.csr_matrix:
+    """Rows a..b-1 of m as a matrix over views of m's data and indices.
+
+    The arrays are set after construction because the constructor copies a
+    view that is less than half of its base array.
+    """
+    lo, hi = m.indptr[a], m.indptr[b]
+    block = sp.csr_matrix((b - a, m.shape[1]), dtype=m.dtype)
+    block.data, block.indices = m.data[lo:hi], m.indices[lo:hi]
+    block.indptr = m.indptr[a : b + 1] - lo
+    return block
+
+
 class GoogleOperator:
     """Reusable damped-transition operator for one (graph, alpha) pair.
 
@@ -119,7 +132,7 @@ class GoogleOperator:
             for a, b in zip(bounds[:-1], bounds[1:]):
                 a, b = int(a), int(b)
                 if a < b:
-                    self._chunks.append((a, b, self.push[a:b]))
+                    self._chunks.append((a, b, _row_block(self.push, a, b)))
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -173,7 +186,7 @@ def _power_iteration(
     workers: int,
     kind: str,
 ) -> RankVector:
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ContractViolation(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")

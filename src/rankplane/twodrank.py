@@ -12,6 +12,7 @@ entry.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping
@@ -19,7 +20,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset
+from .graph import NodeSubset, line_blocks, row_blocks, split_block, tsv_block
 
 _TABLE_COLUMNS = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d")
 
@@ -180,23 +181,60 @@ def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
         pairs = " ".join(f"{k}={table.meta[k]!r}" for k in sorted(table.meta))
         out.write(f"# {pairs}\n")
     out.write("\t".join(_TABLE_COLUMNS) + "\n")
-    for i in np.argsort(table.pagerank_rank):
+    order = np.argsort(table.pagerank_rank)
+    for rows in row_blocks(len(order)):
+        i = order[rows]
         out.write(
-            f"{table.names[i]}\t{float(table.pagerank[i])!r}\t{int(table.pagerank_rank[i])}"
-            f"\t{float(table.cheirank[i])!r}\t{int(table.cheirank_rank[i])}\t{int(table.rank2d[i])}\n"
+            tsv_block(
+                len(i),
+                map(table.names.__getitem__, i.tolist()),
+                map(repr, table.pagerank[i].tolist()),
+                map(str, table.pagerank_rank[i].tolist()),
+                map(repr, table.cheirank[i].tolist()),
+                map(str, table.cheirank_rank[i].tolist()),
+                map(str, table.rank2d[i].tolist()),
+            )
         )
 
 
-def read_rank_table(source: str | Path | IO[str]) -> RankTable:
-    """Parse a table written by write_rank_table (rows keep file order)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_rank_table(f)
-    meta: dict = {}
-    names: list[str] = []
-    columns: list[list] = [[], [], [], [], []]
-    saw_header = False
-    for line_no, raw in enumerate(source, start=1):
+# File column j + 1 parses with _ROW_PARSERS[j] into an array of that type code.
+_ROW_PARSERS = ((float, "d"), (int, "q"), (float, "d"), (int, "q"), (int, "q"))
+
+
+def _bulk_rows(lines: list[str], names: list[str], columns: list[array]) -> bool:
+    """Parse a block of plain table rows in one pass.
+
+    Returns False, having changed nothing, when any line needs the per-line
+    parser: a comment, a blank line, a wrong column count or a value the
+    column's parser rejects.
+    """
+    tokens = split_block(lines, len(_TABLE_COLUMNS))
+    if tokens is None:
+        return False
+    width = len(_TABLE_COLUMNS) + 1
+    try:
+        values = [
+            array(code, map(parse, tokens[j::width]))
+            for j, (parse, code) in enumerate(_ROW_PARSERS, start=1)
+        ]
+    except (ValueError, OverflowError):
+        return False
+    names.extend(tokens[0:-1:width])
+    for column, block in zip(columns, values):
+        column.extend(block)
+    return True
+
+
+def _parse_table_lines(
+    lines: list[str],
+    first_line_no: int,
+    saw_header: bool,
+    meta: dict,
+    names: list[str],
+    columns: list[array],
+) -> bool:
+    """Parse table lines one at a time; returns whether the column header has been seen."""
+    for line_no, raw in enumerate(lines, start=first_line_no):
         line = raw.rstrip("\n")
         if not line:
             continue
@@ -217,16 +255,35 @@ def read_rank_table(source: str | Path | IO[str]) -> RankTable:
         if len(fields) != len(_TABLE_COLUMNS):
             raise ParseError(f"expected {len(_TABLE_COLUMNS)} columns", line_no)
         names.append(fields[0])
-        for j, parse in enumerate((float, int, float, int, int), start=1):
-            columns[j - 1].append(parse(fields[j]))
+        try:
+            for column, (parse, _), text in zip(columns, _ROW_PARSERS, fields[1:]):
+                column.append(parse(text))
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"bad number: {exc}", line_no) from None
+    return saw_header
+
+
+def read_rank_table(source: str | Path | IO[str]) -> RankTable:
+    """Parse a table written by write_rank_table (rows keep file order)."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as f:
+            return read_rank_table(f)
+    meta: dict = {}
+    names: list[str] = []
+    columns = [array(code) for _, code in _ROW_PARSERS]
+    saw_header = False
+    for line_no, lines in line_blocks(source):
+        if not (saw_header and _bulk_rows(lines, names, columns)):
+            saw_header = _parse_table_lines(lines, line_no, saw_header, meta, names, columns)
     if not names:
         raise ParseError("empty rank table file")
+    pagerank, pagerank_rank, cheirank, cheirank_rank, rank2d = map(np.array, columns)
     return RankTable(
         names=names,
-        pagerank=np.asarray(columns[0], dtype=np.float64),
-        pagerank_rank=np.asarray(columns[1], dtype=np.int64),
-        cheirank=np.asarray(columns[2], dtype=np.float64),
-        cheirank_rank=np.asarray(columns[3], dtype=np.int64),
-        rank2d=np.asarray(columns[4], dtype=np.int64),
+        pagerank=pagerank,
+        pagerank_rank=pagerank_rank,
+        cheirank=cheirank,
+        cheirank_rank=cheirank_rank,
+        rank2d=rank2d,
         meta=meta,
     )

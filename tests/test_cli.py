@@ -117,6 +117,21 @@ def test_malformed_edge_list_exits_2(tmp_path, capsys):
     assert "rankplane: parse error" in capsys.readouterr().err
 
 
+def test_unicode_digit_multiplicity_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("a\tb\t1\nb\ta\t\u00b2\n", encoding="utf-8")  # superscript two
+    assert run("rank", bad, "-o", tmp_path / "t.tsv") == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("rank",), ("stats", "correlator")])
+def test_non_utf8_input_exits_2(command, tmp_path, capsys):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes("a\tb\nm\u00fcnchen\ta\n".encode("latin-1"))
+    assert run(*command, bad, "-o", tmp_path / "out") == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     assert run("rank", tmp_path / "nope.tsv", "-o", tmp_path / "t.tsv") == 2
     assert "rankplane:" in capsys.readouterr().err
@@ -137,6 +152,11 @@ def test_contract_violation_exits_4(random_edges, tmp_path, capsys):
     )
     assert code == 4  # --null-samples without --seed
     assert "contract violation" in capsys.readouterr().err
+
+
+def test_nan_tolerance_exits_4(random_edges, tmp_path, capsys):
+    assert run("rank", random_edges, "-o", tmp_path / "t.tsv", "--tol", "nan") == 4
+    assert "tol must be positive" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_a_usage_error(capsys):

@@ -15,6 +15,7 @@ from rankplane import (
     ContractViolation,
     ConvergenceError,
     DirectedGraph,
+    GoogleOperator,
     RankVector,
     apply_google,
     cheirank,
@@ -119,6 +120,21 @@ def test_worker_count_does_not_change_bits():
     p4 = pagerank(g, workers=4)
     assert np.array_equal(p1.values, p4.values)
     assert p1.iterations == p4.iterations
+    assert np.array_equal(cheirank(g, workers=1).values, cheirank(g, workers=3).values)
+
+
+def test_worker_row_blocks_are_views_of_the_push_matrix():
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, n=60, density=0.15)
+    op = GoogleOperator(g, 0.85, workers=3)
+    try:
+        assert len(op._chunks) == 3
+        for a, b, block in op._chunks:
+            assert np.shares_memory(block.data, op.push.data)
+            assert np.shares_memory(block.indices, op.push.indices)
+            assert (block != op.push[a:b]).nnz == 0
+    finally:
+        op.close()
 
 
 def test_apply_google_matches_dense_operator():
@@ -153,6 +169,8 @@ def test_solver_parameter_validation():
     g = load_edge_list(io.StringIO("a\tb\n"))
     with pytest.raises(ContractViolation):
         pagerank(g, tol=0.0)
+    with pytest.raises(ContractViolation):
+        pagerank(g, tol=float("nan"))
     with pytest.raises(ContractViolation):
         pagerank(g, max_iter=0)
 

@@ -71,6 +71,7 @@ def test_whitespace_trimmed():
         ("a\tb\t0\n", "positive"),
         ("a\tb\t-2\n", "positive"),
         ("a\tb\tx\n", "positive"),
+        ("a\tb\t\u00b2\n", "positive"),  # superscript two: a digit, not a decimal
         ("\tb\n", "empty"),
         ("", "empty"),
         ("# only a comment\n", "empty"),
@@ -86,6 +87,25 @@ def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as err:
         load("a\tb\nc\td\te\tf\n")
     assert str(err.value).startswith("line 2:")
+
+
+def test_unicode_decimal_multiplicity_is_accepted():
+    g = load("a\tb\t\u0663\n")  # Arabic-Indic three
+    assert g.total_edge_weight == 3
+
+
+def test_out_of_range_multiplicity_is_a_parse_error():
+    assert load(f"a\tb\t{2**63 - 1}\n").total_edge_weight == 2**63 - 1
+    with pytest.raises(ParseError) as err:
+        load(f"a\tb\n\nc\td\t{2**63}\nc\n")
+    assert err.value.line_no == 3
+
+
+def test_non_utf8_edge_list_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes("a\tb\nm\u00fcnchen\tb\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_edge_list(path)
 
 
 def test_round_trip(tmp_path):

@@ -1,0 +1,374 @@
+"""The block-at-a-time text readers and writers against line-at-a-time references.
+
+The edge-list loader and the rank-table reader parse blocks of lines in one
+pass and hand any block they cannot prove clean to a per-line parser; the
+writers format blocks of rows at once.  The references below are the
+line-at-a-time implementations these replaced, kept verbatim.  The block
+sizes are drawn small, so block boundaries fall everywhere: between clean
+and odd lines, inside runs of comments, next to the file's last line.
+"""
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rankplane import (
+    DirectedGraph,
+    IngestStats,
+    ParseError,
+    RankTable,
+    load_edge_list,
+    read_rank_table,
+    write_edge_list,
+    write_rank_table,
+)
+from rankplane import graph
+
+COMMENT_CHAR = "#"
+_TABLE_COLUMNS = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d")
+
+
+# ---- references: one line or one row at a time --------------------------------
+
+
+def reference_load_edge_list(stream) -> DirectedGraph:
+    names: list[str] = []
+    index: dict[str, int] = {}
+    src: list[int] = []
+    dst: list[int] = []
+    mult: list[int] = []
+    records = 0
+    self_loop_records = 0
+
+    def intern(name: str, line_no: int) -> int:
+        name = name.strip()
+        if not name:
+            raise ParseError("empty node name", line_no)
+        i = index.get(name)
+        if i is None:
+            i = len(names)
+            index[name] = i
+            names.append(name)
+        return i
+
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith(COMMENT_CHAR):
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (2, 3):
+            raise ParseError(
+                f"expected 2 or 3 tab-separated fields, got {len(fields)}", line_no
+            )
+        s = intern(fields[0], line_no)
+        t = intern(fields[1], line_no)
+        if len(fields) == 3:
+            text = fields[2].strip()
+            if not text.isdigit() or (m := int(text)) <= 0:
+                raise ParseError(
+                    f"multiplicity must be a positive integer, got {text!r}", line_no
+                )
+        else:
+            m = 1
+        src.append(s)
+        dst.append(t)
+        mult.append(m)
+        records += 1
+        if s == t:
+            self_loop_records += 1
+
+    if records == 0:
+        raise ParseError("empty edge list: no edge records found")
+
+    g = DirectedGraph.from_edges(
+        names,
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.asarray(mult, dtype=np.int64),
+    )
+    g.ingest = IngestStats(
+        lines=records,
+        edges=g.n_edges,
+        self_loops=g.self_loop_count(),
+        duplicates_merged=records - g.n_edges,
+    )
+    return g
+
+
+def reference_read_rank_table(source) -> RankTable:
+    meta: dict = {}
+    names: list[str] = []
+    columns: list[list] = [[], [], [], [], []]
+    saw_header = False
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                if "=" in token:
+                    key, _, val = token.partition("=")
+                    meta[key] = val.strip("'\"")
+            continue
+        fields = line.split("\t")
+        if not saw_header:
+            if tuple(fields) != _TABLE_COLUMNS:
+                raise ParseError(
+                    f"expected column header {_TABLE_COLUMNS}, got {fields}", line_no
+                )
+            saw_header = True
+            continue
+        if len(fields) != len(_TABLE_COLUMNS):
+            raise ParseError(f"expected {len(_TABLE_COLUMNS)} columns", line_no)
+        names.append(fields[0])
+        for j, parse in enumerate((float, int, float, int, int), start=1):
+            columns[j - 1].append(parse(fields[j]))
+    if not names:
+        raise ParseError("empty rank table file")
+    return RankTable(
+        names=names,
+        pagerank=np.asarray(columns[0], dtype=np.float64),
+        pagerank_rank=np.asarray(columns[1], dtype=np.int64),
+        cheirank=np.asarray(columns[2], dtype=np.float64),
+        cheirank_rank=np.asarray(columns[3], dtype=np.int64),
+        rank2d=np.asarray(columns[4], dtype=np.int64),
+        meta=meta,
+    )
+
+
+def reference_write_edge_list(g: DirectedGraph, out) -> None:
+    out.write(f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n")
+    indptr, indices, data = g.adj.indptr, g.adj.indices, g.adj.data
+    for s in range(g.n_nodes):
+        row = slice(indptr[s], indptr[s + 1])
+        for t, m in zip(indices[row], data[row]):
+            out.write(f"{g.names[s]}\t{g.names[int(t)]}\t{int(m)}\n")
+
+
+def reference_write_rank_table(table: RankTable, out) -> None:
+    if table.meta:
+        pairs = " ".join(f"{k}={table.meta[k]!r}" for k in sorted(table.meta))
+        out.write(f"# {pairs}\n")
+    out.write("\t".join(_TABLE_COLUMNS) + "\n")
+    for i in np.argsort(table.pagerank_rank):
+        out.write(
+            f"{table.names[i]}\t{float(table.pagerank[i])!r}\t{int(table.pagerank_rank[i])}"
+            f"\t{float(table.cheirank[i])!r}\t{int(table.cheirank_rank[i])}\t{int(table.rank2d[i])}\n"
+        )
+
+
+# ---- generated texts -------------------------------------------------------------
+
+NAMES = st.sampled_from(["a", "b", "c", "n01", "a b", "é", "x#y", "#t", "٣"])
+CLEAN_COUNTS = st.sampled_from(["1", "2", "3", "007", "123456789012345678"])
+# Forms only the per-line parser accepts or rejects; multiplicities beyond
+# int64 are left out: the reference fails on them only after reading the
+# whole file (see test_out_of_range_multiplicity_is_a_parse_error).
+ODD_COUNTS = st.sampled_from(["0", "00", "", " 2", "2 ", "-1", "x", "1.5", "٣", "²", "+1"])
+
+
+@st.composite
+def edge_lines(draw):
+    kind = draw(st.sampled_from(["clean"] * 6 + ["two", "odd_count", "padded", "comment",
+                                                 "blank", "fields", "empty_name", "crlf"]))
+    s, t = draw(NAMES), draw(NAMES)
+    if kind == "clean":
+        return f"{s}\t{t}\t{draw(CLEAN_COUNTS)}\n"
+    if kind == "two":
+        return f"{s}\t{t}\n"
+    if kind == "odd_count":
+        return f"{s}\t{t}\t{draw(ODD_COUNTS)}\n"
+    if kind == "padded":
+        return f" {s}\t{t}\u3000\t1\n"  # an ASCII and an ideographic space
+    if kind == "comment":
+        return draw(st.sampled_from(["# comment\n", "  # a\tb\t1\n", "#a\tb\t1\n"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["\n", "   \n", "\t\n"]))
+    if kind == "fields":
+        return draw(st.sampled_from(["a\n", "a\tb\t1\t2\n", "a\tb\t\t1\n"]))
+    if kind == "empty_name":
+        return draw(st.sampled_from(["\tb\t1\n", "a\t \t1\n"]))
+    return f"{s}\t{t}\t1\r\n"
+
+
+@st.composite
+def edge_texts(draw):
+    text = "".join(draw(st.lists(edge_lines(), max_size=40)))
+    if text and draw(st.booleans()):
+        text = text[:-1]  # the last line without its newline
+    return text
+
+
+def outcome(parse, text):
+    """What a reader makes of text: its result, or the error and line number."""
+    try:
+        return "ok", parse(io.StringIO(text))
+    except ParseError as exc:
+        return "parse_error", exc.line_no
+    except (ValueError, OverflowError) as exc:
+        return "error", type(exc).__name__
+
+
+def compare_outcomes(expected, got):
+    if expected[0] == "error":
+        # A number the reference let through to int() or float() and crashed
+        # on: now a ParseError.
+        assert got[0] == "parse_error" and got[1] is not None
+        return False
+    assert got[0] == expected[0]
+    if expected[0] == "parse_error":
+        assert got[1] == expected[1]
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_texts(), chars=st.integers(1, 200))
+@example(text="a\tb\t1\nb\tc\t\n", chars=100)
+@example(text="a\tb\t1\n a\tc\t2\n", chars=100)
+@example(text="a\tb\t1\r\nb\tc\t1\n", chars=100)
+def test_edge_list_blocks_match_the_per_line_loader(text, chars):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_CHARS", chars)
+        expected = outcome(reference_load_edge_list, text)
+        got = outcome(load_edge_list, text)
+    if compare_outcomes(expected, got):
+        a, b = expected[1], got[1]
+        assert b.names == a.names
+        assert b.ingest == a.ingest
+        for attr in ("indptr", "indices", "data"):
+            x, y = getattr(a.adj, attr), getattr(b.adj, attr)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert b.content_hash() == a.content_hash()
+
+
+def test_only_odd_blocks_take_the_per_line_parser(monkeypatch):
+    """Clean blocks take the bulk pass, so the property test above compares
+    two different code paths."""
+    per_line_blocks = []
+    parse_lines = graph._parse_edge_lines
+
+    def spy(lines, *args):
+        per_line_blocks.append(lines)
+        parse_lines(lines, *args)
+
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", 16)  # three 6-character lines a block
+    monkeypatch.setattr(graph, "_parse_edge_lines", spy)
+    g = load_edge_list(io.StringIO("a\tb\t1\n" * 10 + "# note\n" + "b\tc\t2\n" * 10))
+    assert g.ingest.lines == 20 and g.total_edge_weight == 30
+    assert per_line_blocks == [["a\tb\t1\n", "# note\n", "b\tc\t2\n"]]
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e-300, 0.1, 5e-324])
+INTS = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def table_lines(draw):
+    kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "fields", "bad_number",
+                                               "crlf", "padded", "space"]))
+    name = draw(NAMES)
+    row = [name, repr(draw(FLOATS)), str(draw(INTS)), repr(draw(FLOATS)),
+           str(draw(INTS)), str(draw(INTS))]
+    if kind == "comment":
+        return draw(st.sampled_from(["# alpha=0.9 note\n", "#x\t1\t1\t1\t1\t1\n"]))
+    if kind == "blank":
+        return "\n"
+    if kind == "fields":
+        return "\t".join(row[: draw(st.sampled_from([1, 5, 7]))]) + "\n"
+    if kind == "bad_number":
+        # Ranks beyond int64 are left out: the reference fails on them only
+        # after reading the whole file (see test_out_of_range_rank_is_a_parse_error).
+        row[draw(st.integers(1, 5))] = draw(st.sampled_from(["x", "", "1.5", "2**70", "١"]))
+    if kind == "padded":
+        row[draw(st.integers(1, 5))] += " "
+    text = "\t".join(row)
+    if kind == "space":
+        return " " + text + "\n"
+    return text + ("\r\n" if kind == "crlf" else "\n")
+
+
+@st.composite
+def table_texts(draw):
+    head = draw(st.sampled_from(["", "# alpha=0.85 tol=1e-10\n", "\n# n=3\n"]))
+    header = draw(st.sampled_from(["\t".join(_TABLE_COLUMNS) + "\n"] * 5 + ["name\tpagerank\n", ""]))
+    text = head + header + "".join(draw(st.lists(table_lines(), max_size=40)))
+    if draw(st.booleans()):
+        text = text[:-1]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=table_texts(), chars=st.integers(1, 300))
+@example(text="a\t0.5\t1\t0.5\t1\t1\n", chars=100)
+def test_rank_table_blocks_match_the_per_line_reader(text, chars):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_CHARS", chars)
+        expected = outcome(reference_read_rank_table, text)
+        got = outcome(read_rank_table, text)
+    if compare_outcomes(expected, got):
+        a, b = expected[1], got[1]
+        assert b.names == a.names and b.meta == a.meta
+        for col in ("pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d"):
+            x, y = getattr(a, col), getattr(b, col)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert y.flags.writeable
+
+
+# ---- writers ---------------------------------------------------------------------
+
+WRITTEN_NAMES = st.text(st.characters(blacklist_characters="\t\n\r"), min_size=1, max_size=6)
+
+
+@st.composite
+def graphs(draw):
+    names = draw(st.lists(WRITTEN_NAMES, min_size=1, max_size=12, unique=True))
+    n = len(names)
+    m = draw(st.integers(1, 40))
+    src, dst = (draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) for _ in range(2))
+    mult = draw(st.lists(st.integers(1, 2**40), min_size=m, max_size=m))
+    return DirectedGraph.from_edges(names, np.asarray(src), np.asarray(dst), np.asarray(mult))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(), rows=st.integers(1, 10))
+def test_edge_list_writer_matches_the_per_row_writer(g, rows):
+    expected, got = io.StringIO(), io.StringIO()
+    reference_write_edge_list(g, expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_ROWS", rows)
+        write_edge_list(g, got)
+    assert got.getvalue() == expected.getvalue()
+
+
+@st.composite
+def tables(draw):
+    names = draw(st.lists(WRITTEN_NAMES, min_size=1, max_size=30))
+    n = len(names)
+    floats = st.lists(FLOATS, min_size=n, max_size=n)
+    ranks = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    meta = draw(st.dictionaries(st.sampled_from(["alpha", "tol", "n_nodes", "label"]),
+                                st.one_of(st.floats(), st.integers(), st.text(max_size=5))))
+    return RankTable(
+        names=names,
+        pagerank=np.asarray(draw(floats), dtype=np.float64),
+        cheirank=np.asarray(draw(floats), dtype=np.float64),
+        pagerank_rank=np.asarray(draw(st.permutations(range(1, n + 1))), dtype=np.int64),
+        cheirank_rank=np.asarray(draw(ranks), dtype=np.int64),
+        rank2d=np.asarray(draw(ranks), dtype=np.int64),
+        meta=meta,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), rows=st.integers(1, 10))
+def test_rank_table_writer_matches_the_per_row_writer(table, rows):
+    expected, got = io.StringIO(), io.StringIO()
+    reference_write_rank_table(table, expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_ROWS", rows)
+        write_rank_table(table, got)
+    assert got.getvalue() == expected.getvalue()

@@ -175,6 +175,30 @@ def test_read_rank_table_rejects_bad_header():
         read_rank_table(io.StringIO(""))
 
 
+HEADER = "name\tpagerank\tpagerank_rank\tcheirank\tcheirank_rank\trank2d\n"
+
+
+@pytest.mark.parametrize("row", ["a\tx\t1\t0.5\t1\t1", "a\t0.5\t1.0\t0.5\t1\t1"])
+def test_unparsable_number_is_a_parse_error(row):
+    with pytest.raises(ParseError) as err:
+        read_rank_table(io.StringIO(HEADER + "b\t0.5\t2\t0.5\t2\t2\n" + row + "\n"))
+    assert err.value.line_no == 3
+
+
+def test_out_of_range_rank_is_a_parse_error():
+    text = HEADER + f"a\t1.0\t{2**63}\t1.0\t1\t1\nb\n"
+    with pytest.raises(ParseError) as err:
+        read_rank_table(io.StringIO(text))
+    assert err.value.line_no == 2
+
+
+def test_non_utf8_rank_table_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes((HEADER + "m\u00fcnchen\t1.0\t1\t1.0\t1\t1\n").encode("latin-1"))
+    with pytest.raises(ParseError, match="UTF-8"):
+        read_rank_table(path)
+
+
 # ---- subset re-ranking -------------------------------------------------------
 
 
