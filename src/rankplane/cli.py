@@ -79,7 +79,12 @@ class RunConfig:
 
 
 def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Digest of a file, read 1 MiB at a time so the file is never held whole."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _fit_range(text: str) -> tuple[float, float]:

@@ -16,16 +16,19 @@ uniformly.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractViolation, ConvergenceError, ParseError
 from .graph import DirectedGraph, invert
+
+if TYPE_CHECKING:  # imported where a matrix is built; see DirectedGraph.from_edges
+    import scipy.sparse as sp
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-10
@@ -35,19 +38,6 @@ DEFAULT_MAX_ITER = 1000
 NORMALIZATION_TOL = 1e-12
 # How closely an *input* vector must sum to one before we refuse it.
 INPUT_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DampingParams:
-    """Damping for the forward (alpha) and link-inverted (alpha_star) solves."""
-
-    alpha: float = DEFAULT_ALPHA
-    alpha_star: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("alpha_star", self.alpha_star)):
-            if not 0.0 < value <= 1.0:
-                raise ContractViolation(f"{name} must lie in (0, 1], got {value}")
 
 
 @dataclass
@@ -83,6 +73,8 @@ def _row_block(m: sp.csr_matrix, a: int, b: int) -> sp.csr_matrix:
     The arrays are set after construction because the constructor copies a
     view that is less than half of its base array.
     """
+    import scipy.sparse as sp
+
     lo, hi = m.indptr[a], m.indptr[b]
     block = sp.csr_matrix((b - a, m.shape[1]), dtype=m.dtype)
     block.data, block.indices = m.data[lo:hi], m.indices[lo:hi]
@@ -98,7 +90,8 @@ class GoogleOperator:
     workers > 1 the output rows are partitioned into contiguous chunks and
     computed concurrently; every output component is the same dot product
     regardless of the partition, so results are bitwise independent of the
-    worker count.
+    worker count.  The threads used are capped at the node count and at
+    the CPU count.
     """
 
     def __init__(self, g: DirectedGraph, alpha: float, workers: int = 1):
@@ -106,6 +99,8 @@ class GoogleOperator:
             raise ContractViolation(f"alpha must lie in (0, 1], got {alpha}")
         if workers < 1:
             raise ContractViolation(f"workers must be >= 1, got {workers}")
+        import scipy.sparse as sp
+
         self.alpha = alpha
         self.n = g.n_nodes
         out_w = g.out_weight()
@@ -122,7 +117,7 @@ class GoogleOperator:
         else:
             self.push = sp.csr_matrix((self.n, self.n), dtype=np.float64)
 
-        self.workers = min(workers, self.n)
+        self.workers = min(workers, self.n, os.cpu_count() or 1)
         self._chunks: list[tuple[int, int, sp.csr_matrix]] = []
         if self.workers > 1:
             # Contiguous row ranges balanced by nnz.

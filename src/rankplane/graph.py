@@ -13,12 +13,14 @@ import io
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractViolation, ParseError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 COMMENT_CHAR = "#"
 
@@ -76,6 +78,10 @@ class DirectedGraph:
         ingest: IngestStats | None = None,
     ) -> "DirectedGraph":
         """Build the canonical CSR from parallel edge arrays (duplicates merged)."""
+        # Imported here, the one place a sparse matrix is built, so that the
+        # commands that only read rank tables or name lists start without it.
+        import scipy.sparse as sp
+
         n = len(names)
         mult = np.asarray(mult, dtype=np.int64)
         if mult.size and np.any(mult <= 0):
@@ -236,6 +242,12 @@ def line_blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
             return
         yield line_no, lines
         line_no += len(lines)
+
+
+def numbered_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for every line, read in blocks as line_blocks does."""
+    for first_line_no, lines in line_blocks(stream):
+        yield from enumerate(lines, start=first_line_no)
 
 
 def split_block(lines: list[str], n_fields: int) -> list[str] | None:
@@ -446,7 +458,7 @@ def load_node_subset(
     duplicates = 0
     unresolved: list[str] = []
     try:
-        for line_no, raw in enumerate(stream, start=1):
+        for line_no, raw in numbered_lines(stream):
             name = raw.rstrip("\n").rstrip("\r").strip()
             if not name or name.startswith(COMMENT_CHAR):
                 continue

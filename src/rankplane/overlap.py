@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset
+from .graph import NodeSubset, numbered_lines
 
 SERIES_KINDS = ("cumulative_f", "window_fw", "subset_fw")
 
@@ -65,7 +65,7 @@ def load_ranked_list(source: str | Path | IO[str]) -> RankedList:
             return load_ranked_list(f)
     names: list[str] = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in numbered_lines(source):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -197,7 +197,10 @@ def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
         )
 
 
-# File column j + 1 parses with _ROW_PARSERS[j] into an array of that type code.
+# File column j + 1 parses with _ROW_PARSERS[j] into an array of that type
+# code, which is also the code of the NumPy dtype ("d" float64, "q" int64).
+# NumPy's conversion of str to these dtypes accepts and rejects exactly what
+# float() and int() do; tests/test_text_blocks.py checks the odd forms.
 _ROW_PARSERS = ((float, "d"), (int, "q"), (float, "d"), (int, "q"), (int, "q"))
 
 
@@ -214,14 +217,14 @@ def _bulk_rows(lines: list[str], names: list[str], columns: list[array]) -> bool
     width = len(_TABLE_COLUMNS) + 1
     try:
         values = [
-            array(code, map(parse, tokens[j::width]))
-            for j, (parse, code) in enumerate(_ROW_PARSERS, start=1)
+            np.array(tokens[j::width], dtype=code)
+            for j, (_, code) in enumerate(_ROW_PARSERS, start=1)
         ]
     except (ValueError, OverflowError):
         return False
     names.extend(tokens[0:-1:width])
     for column, block in zip(columns, values):
-        column.extend(block)
+        column.frombytes(block.tobytes())
     return True
 
 

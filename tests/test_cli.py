@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: files in, files out, exit codes."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -21,12 +22,20 @@ from rankplane import (
     read_rank_table,
     write_edge_list,
 )
+from rankplane import cli
 from rankplane.cli import main
 from rankplane.netstats import read_csv_series
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def package_env():
+    """Environment for a child process that imports the package under test."""
+    package_root = Path(rankplane.__file__).resolve().parents[1]
+    pythonpath = [str(package_root), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
 
 
 @pytest.fixture
@@ -74,6 +83,16 @@ def test_rank_two_node_cycle(cycle_edges, tmp_path, capsys):
     assert manifest["input"]["n_nodes"] == 2
     assert manifest["input"]["dangling_nodes"] == 0
     assert manifest["solves"]["pagerank"]["residual"] <= 1e-10
+    assert manifest["input"]["sha256"] == hashlib.sha256(cycle_edges.read_bytes()).hexdigest()
+
+
+def test_sha256_reads_in_blocks_and_matches_the_whole_file(tmp_path):
+    path = tmp_path / "big.bin"
+    data = np.random.default_rng(1).bytes(5 * 2**19 + 3)  # 2.5 MiB and a bit
+    path.write_bytes(data)
+    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+    path.write_bytes(b"")
+    assert cli._sha256(path) == hashlib.sha256(b"").hexdigest()
 
 
 def test_rank_rerun_is_byte_identical(random_edges, tmp_path):
@@ -85,12 +104,15 @@ def test_rank_rerun_is_byte_identical(random_edges, tmp_path):
     assert (out.read_bytes(), manifest.read_bytes()) == first
 
 
-def test_rank_worker_count_does_not_change_the_table(random_edges, tmp_path):
+def test_rank_worker_count_does_not_change_the_table(random_edges, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 4 workers run as 3 threads
     a = tmp_path / "a.tsv"
     b = tmp_path / "b.tsv"
     assert run("rank", random_edges, "-o", a, "--workers", 1) == 0
     assert run("rank", random_edges, "-o", b, "--workers", 4) == 0
     assert a.read_bytes() == b.read_bytes()
+    manifest = json.loads((tmp_path / "b.tsv.manifest.json").read_text())
+    assert manifest["config"]["workers"] == 4  # the requested count, not the threads
 
 
 def test_rank_table_matches_the_library(random_edges, tmp_path):
@@ -129,6 +151,26 @@ def test_non_utf8_input_exits_2(command, tmp_path, capsys):
     bad = tmp_path / "latin1.tsv"
     bad.write_bytes("a\tb\nm\u00fcnchen\ta\n".encode("latin-1"))
     assert run(*command, bad, "-o", tmp_path / "out") == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("subset", "TABLE", "LATIN1"),
+        ("overlap", "curve", "LATIN1", "NAMES"),
+        ("overlap", "subset-window", "NAMES", "LATIN1"),
+    ],
+)
+def test_non_utf8_name_file_exits_2(argv, random_edges, tmp_path, capsys):
+    files = {
+        "LATIN1": tmp_path / "latin1.txt",
+        "NAMES": write_list(tmp_path / "names.txt", ["v01", "v02"]),
+    }
+    files["LATIN1"].write_bytes("v01\ncaf\u00e9\n".encode("latin-1"))
+    if "TABLE" in argv:
+        files["TABLE"] = rank_table_for(random_edges, tmp_path)
+    assert run(*[files.get(a, a) for a in argv], "-o", tmp_path / "out") == 2
     assert "UTF-8" in capsys.readouterr().err
 
 
@@ -341,6 +383,61 @@ def test_subset_command_strict_vs_lenient(random_edges, tmp_path, capsys):
     assert len(read_rank_table(tmp_path / "s.tsv")) == 2
 
 
+# ---- start-up ------------------------------------------------------------------------
+
+# Runs the analysis commands, then synth, in one fresh interpreter and prints
+# which scipy modules were loaded after each part.
+SCIPY_PROBE = """\
+import json
+import sys
+from rankplane.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+after_analysis = scipy_modules()
+synth = main(json.loads(sys.argv[2]))
+print(json.dumps([codes, after_analysis, synth, bool(scipy_modules())]))
+"""
+
+
+def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
+    """Only synth and rank build sparse matrices, so only they import SciPy."""
+    table = str(rank_table_for(random_edges, tmp_path))
+    names = [f"v{i:02d}" for i in range(50)]
+    a = str(write_list(tmp_path / "a.txt", names))
+    b = str(write_list(tmp_path / "b.txt", names[::-1]))
+    marked = str(write_list(tmp_path / "marked.txt", names[::7]))
+    out = str(tmp_path / "out")
+    analysis = [
+        ["stats", "density", table, "-o", out, "--cells", "10"],
+        ["stats", "slice", table, "-o", out, "--x0", "1.0", "--cells", "10"],
+        ["stats", "correlator", table, "-o", out],
+        ["stats", "fitcurve", table, "-o", out, "--bins", "5"],
+        ["overlap", "curve", a, b, "-o", out],
+        ["overlap", "window", a, b, "-o", out, "--window", "10"],
+        ["overlap", "subset-window", a, marked, "-o", out, "--window", "10"],
+        ["subset", table, marked, "-o", out],
+    ]
+    synth = ["synth", "150", "-o", str(tmp_path / "edges.tsv"), "--seed", "4"]
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(analysis), json.dumps(synth)],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    codes, after_analysis, synth_code, scipy_after_synth = json.loads(
+        result.stdout.splitlines()[-1]
+    )
+    assert codes == [0] * len(analysis), result.stderr
+    assert after_analysis == []
+    assert synth_code == 0 and scipy_after_synth
+    assert load_edge_list(tmp_path / "edges.tsv").n_nodes == 150
+
+
 # ---- console script ------------------------------------------------------------------
 
 
@@ -377,9 +474,7 @@ def test_installed_entry_point(tmp_path):
         CONSOLE_SCRIPT.format(python=sys.executable, module=module, attr=attr)
     )
     exe.chmod(0o755)
-    package_root = Path(rankplane.__file__).resolve().parents[1]
-    pythonpath = [str(package_root), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    env = package_env()
 
     out = tmp_path / "edges.tsv"
     result = subprocess.run(

@@ -7,6 +7,7 @@ with the iterative implementation under test.
 """
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -113,7 +114,8 @@ def test_cheirank_is_pagerank_of_inverted_graph():
     assert np.array_equal(cheirank(g).values, pagerank(invert(g)).values)
 
 
-def test_worker_count_does_not_change_bits():
+def test_worker_count_does_not_change_bits(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so 3 and 4 workers are not capped
     rng = np.random.default_rng(3)
     g = random_graph(rng, n=60, density=0.15)
     p1 = pagerank(g, workers=1)
@@ -123,7 +125,8 @@ def test_worker_count_does_not_change_bits():
     assert np.array_equal(cheirank(g, workers=1).values, cheirank(g, workers=3).values)
 
 
-def test_worker_row_blocks_are_views_of_the_push_matrix():
+def test_worker_row_blocks_are_views_of_the_push_matrix(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     rng = np.random.default_rng(3)
     g = random_graph(rng, n=60, density=0.15)
     op = GoogleOperator(g, 0.85, workers=3)
@@ -133,6 +136,17 @@ def test_worker_row_blocks_are_views_of_the_push_matrix():
             assert np.shares_memory(block.data, op.push.data)
             assert np.shares_memory(block.indices, op.push.indices)
             assert (block != op.push[a:b]).nnz == 0
+    finally:
+        op.close()
+
+
+def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = random_graph(np.random.default_rng(3), n=60, density=0.15)
+    op = GoogleOperator(g, 0.85, workers=10**6)  # starts no thread until apply()
+    try:
+        assert op.workers == 2
+        assert len(op._chunks) <= 2
     finally:
         op.close()
 

@@ -9,6 +9,7 @@ and odd lines, inside runs of comments, next to the file's last line.
 """
 
 import io
+from array import array
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from rankplane import (
     write_edge_list,
     write_rank_table,
 )
-from rankplane import graph
+from rankplane import graph, twodrank
 
 COMMENT_CHAR = "#"
 _TABLE_COLUMNS = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d")
@@ -264,12 +265,16 @@ def test_only_odd_blocks_take_the_per_line_parser(monkeypatch):
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e-300, 0.1, 5e-324])
 INTS = st.integers(-(2**63), 2**63 - 1)
+# Numbers a table writer never produces but float() or int() may accept: the
+# bulk reader converts columns in NumPy and must accept and reject exactly these.
+ODD_NUMBERS = ["1_0", "1_", " 5", "5 ", "\u30002", "١٢", "１２", "nan", "-nan", "inf",
+               "-Infinity", "1e400", "1E5", "0x10", "", "+7", "-0", ".5", "1_000.5", "ⅷ"]
 
 
 @st.composite
 def table_lines(draw):
     kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "fields", "bad_number",
-                                               "crlf", "padded", "space"]))
+                                               "odd_number", "crlf", "padded", "space"]))
     name = draw(NAMES)
     row = [name, repr(draw(FLOATS)), str(draw(INTS)), repr(draw(FLOATS)),
            str(draw(INTS)), str(draw(INTS))]
@@ -283,6 +288,8 @@ def table_lines(draw):
         # Ranks beyond int64 are left out: the reference fails on them only
         # after reading the whole file (see test_out_of_range_rank_is_a_parse_error).
         row[draw(st.integers(1, 5))] = draw(st.sampled_from(["x", "", "1.5", "2**70", "١"]))
+    if kind == "odd_number":
+        row[draw(st.integers(1, 5))] = draw(st.sampled_from(ODD_NUMBERS))
     if kind == "padded":
         row[draw(st.integers(1, 5))] += " "
     text = "\t".join(row)
@@ -304,6 +311,10 @@ def table_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=table_texts(), chars=st.integers(1, 300))
 @example(text="a\t0.5\t1\t0.5\t1\t1\n", chars=100)
+@example(
+    text="\t".join(_TABLE_COLUMNS) + "\na\t1_0\t ١٢\t-nan\t1_0\t+7 \nb\t1e400\t-0\t.5\t2\t3\n",
+    chars=300,
+)
 def test_rank_table_blocks_match_the_per_line_reader(text, chars):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_CHARS", chars)
@@ -316,6 +327,26 @@ def test_rank_table_blocks_match_the_per_line_reader(text, chars):
             x, y = getattr(a, col), getattr(b, col)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
             assert y.flags.writeable
+
+
+@pytest.mark.parametrize("column", range(1, 6))
+@pytest.mark.parametrize("text", ODD_NUMBERS + ["9223372036854775808", "-9223372036854775809"])
+def test_bulk_table_columns_convert_like_float_and_int(text, column):
+    """The bulk pass takes a row exactly when every field converts with the
+    column's own float() or int(), and to the same value."""
+    fields = ["a", "0.5", "1", "0.5", "1", "1"]
+    fields[column] = text
+    parse, code = twodrank._ROW_PARSERS[column - 1]
+    try:
+        expected = parse(text)
+        accepted = code == "d" or -(2**63) <= expected < 2**63
+    except ValueError:
+        accepted = False
+    names, columns = [], [array(c) for _, c in twodrank._ROW_PARSERS]
+    assert twodrank._bulk_rows(["\t".join(fields) + "\n"], names, columns) == accepted
+    if accepted:
+        got = columns[column - 1][0]
+        assert np.array([got], dtype=code).tobytes() == np.array([expected], dtype=code).tobytes()
 
 
 # ---- writers ---------------------------------------------------------------------
