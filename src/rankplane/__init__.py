@@ -8,134 +8,78 @@ generator.  See the `cli` module (console script ``rankplane``) for the
 file-based pipeline.
 """
 
-from .errors import ContractViolation, ConvergenceError, ParseError
-from .graph import (
-    DegreeHistogram,
-    DirectedGraph,
-    IngestStats,
-    NodeSubset,
-    SubsetReport,
-    degree_distribution,
-    invert,
-    load_edge_list,
-    load_node_subset,
-    subset_from_names,
-    write_edge_list,
-)
-from .googlerank import (
-    DEFAULT_ALPHA,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    GoogleOperator,
-    RankVector,
-    apply_google,
-    cheirank,
-    pagerank,
-    read_rank_vector,
-    write_rank_vector,
-)
-from .twodrank import (
-    RankIndex,
-    RankTable,
-    build_rank_table,
-    rank_indices,
-    read_rank_table,
-    subset_rank,
-    two_d_rank,
-    write_rank_table,
-)
-from .netstats import (
-    CorrelatorPoint,
-    DensityGrid,
-    EtaSlice,
-    PowerLawFit,
-    correlator,
-    correlator_sweep,
-    density_grid,
-    fit_power_law,
-    generate_scale_free,
-    grid_from_rank_pairs,
-    histogram_curve,
-    power_law_pmf,
-    rank_curve,
-    read_density_grid,
-    sample_independent,
-    slice_density,
-    write_density_grid,
-)
-from .overlap import (
-    OverlapSeries,
-    RankedList,
-    load_ranked_list,
-    overlap_curve,
-    overlap_fraction,
-    ranked_list,
-    read_overlap_series,
-    subset_window_fraction,
-    window_overlap,
-    write_overlap_series,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContractViolation",
-    "ConvergenceError",
-    "ParseError",
-    "DegreeHistogram",
-    "DirectedGraph",
-    "IngestStats",
-    "NodeSubset",
-    "SubsetReport",
-    "degree_distribution",
-    "invert",
-    "load_edge_list",
-    "load_node_subset",
-    "subset_from_names",
-    "write_edge_list",
-    "DEFAULT_ALPHA",
-    "DEFAULT_MAX_ITER",
-    "DEFAULT_TOL",
-    "GoogleOperator",
-    "RankVector",
-    "apply_google",
-    "cheirank",
-    "pagerank",
-    "read_rank_vector",
-    "write_rank_vector",
-    "RankIndex",
-    "RankTable",
-    "build_rank_table",
-    "rank_indices",
-    "read_rank_table",
-    "subset_rank",
-    "two_d_rank",
-    "write_rank_table",
-    "CorrelatorPoint",
-    "DensityGrid",
-    "EtaSlice",
-    "PowerLawFit",
-    "correlator",
-    "correlator_sweep",
-    "density_grid",
-    "fit_power_law",
-    "generate_scale_free",
-    "grid_from_rank_pairs",
-    "histogram_curve",
-    "power_law_pmf",
-    "rank_curve",
-    "read_density_grid",
-    "sample_independent",
-    "slice_density",
-    "write_density_grid",
-    "OverlapSeries",
-    "RankedList",
-    "load_ranked_list",
-    "overlap_curve",
-    "overlap_fraction",
-    "ranked_list",
-    "read_overlap_series",
-    "subset_window_fraction",
-    "window_overlap",
-    "write_overlap_series",
-]
+# The module that defines each public name.  A name is imported from its
+# module on first use, so `import rankplane` loads no module, and NumPy and
+# SciPy load only when something needs them.
+_EXPORTS = {
+    "ContractViolation": "errors",
+    "ConvergenceError": "errors",
+    "ParseError": "errors",
+    "DegreeHistogram": "graph",
+    "DirectedGraph": "graph",
+    "IngestStats": "graph",
+    "NodeSubset": "graph",
+    "SubsetReport": "graph",
+    "degree_distribution": "graph",
+    "invert": "graph",
+    "load_edge_list": "graph",
+    "load_node_subset": "graph",
+    "write_edge_list": "graph",
+    "DEFAULT_ALPHA": "googlerank",
+    "DEFAULT_MAX_ITER": "googlerank",
+    "DEFAULT_TOL": "googlerank",
+    "GoogleOperator": "googlerank",
+    "RankVector": "googlerank",
+    "cheirank": "googlerank",
+    "pagerank": "googlerank",
+    "RankIndex": "twodrank",
+    "RankTable": "twodrank",
+    "build_rank_table": "twodrank",
+    "rank_indices": "twodrank",
+    "read_rank_table": "twodrank",
+    "subset_rank": "twodrank",
+    "two_d_rank": "twodrank",
+    "write_rank_table": "twodrank",
+    "CorrelatorPoint": "netstats",
+    "DensityGrid": "netstats",
+    "EtaSlice": "netstats",
+    "PowerLawFit": "netstats",
+    "correlator": "netstats",
+    "correlator_sweep": "netstats",
+    "density_grid": "netstats",
+    "fit_power_law": "netstats",
+    "generate_scale_free": "netstats",
+    "grid_from_rank_pairs": "netstats",
+    "histogram_curve": "netstats",
+    "kappa": "netstats",
+    "power_law_pmf": "netstats",
+    "rank_curve": "netstats",
+    "read_density_grid": "netstats",
+    "sample_independent": "netstats",
+    "slice_density": "netstats",
+    "write_density_grid": "netstats",
+    "OverlapSeries": "overlap",
+    "RankedList": "overlap",
+    "load_ranked_list": "overlap",
+    "overlap_curve": "overlap",
+    "overlap_fraction": "overlap",
+    "ranked_list": "overlap",
+    "read_overlap_series": "overlap",
+    "subset_window_fraction": "overlap",
+    "window_overlap": "overlap",
+    "write_overlap_series": "overlap",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -38,6 +37,7 @@ from .netstats import (
     fit_power_law,
     generate_scale_free,
     grid_from_rank_pairs,
+    kappa,
     rank_curve,
     sample_independent,
     slice_density,
@@ -62,20 +62,6 @@ EXIT_CONTRACT = 4
 
 DEFAULT_GRID_CELLS = 100
 DEFAULT_WINDOW = 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundle of knobs shared across the pipeline commands."""
-
-    alpha: float = DEFAULT_ALPHA
-    alpha_star: float = DEFAULT_ALPHA
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    grid_cells: int = DEFAULT_GRID_CELLS
-    window: int = DEFAULT_WINDOW
-    seed: int | None = None
-    workers: int = 1
 
 
 def _sha256(path: str | Path) -> str:
@@ -117,25 +103,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        alpha=args.alpha,
-        alpha_star=args.alpha_star,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        workers=args.workers,
-    )
     g = load_edge_list(args.edges)
-    p = pagerank(
-        g, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter, workers=config.workers
-    )
+    p = pagerank(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter, workers=args.workers)
     p_star = cheirank(
-        g,
-        alpha_star=config.alpha_star,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        workers=config.workers,
+        g, alpha_star=args.alpha_star, tol=args.tol, max_iter=args.max_iter, workers=args.workers
     )
-    kappa = correlator(p, p_star).kappa
+    point = correlator(p, p_star)
     table = build_rank_table(
         g.names,
         p.values,
@@ -153,7 +126,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
     manifest = {
         "command": "rank",
-        "config": asdict(config),
+        # rank uses no grid, window or seed; the keys keep the manifest's layout.
+        "config": {
+            "alpha": args.alpha,
+            "alpha_star": args.alpha_star,
+            "tol": args.tol,
+            "max_iter": args.max_iter,
+            "grid_cells": DEFAULT_GRID_CELLS,
+            "window": DEFAULT_WINDOW,
+            "seed": None,
+            "workers": args.workers,
+        },
         "input": {
             "path": str(args.edges),
             "sha256": _sha256(args.edges),
@@ -167,7 +150,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             "pagerank": {"iterations": p.iterations, "residual": p.residual},
             "cheirank": {"iterations": p_star.iterations, "residual": p_star.residual},
         },
-        "kappa": kappa,
+        "kappa": point.kappa,
         "outputs": {"table": str(args.output)},
     }
     manifest_path = args.manifest or f"{args.output}.manifest.json"
@@ -176,7 +159,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     )
     print(
         f"ranked {g.n_nodes} nodes (pagerank {p.iterations} it, cheirank "
-        f"{p_star.iterations} it, kappa={kappa:.6g}) -> {args.output}"
+        f"{p_star.iterations} it, kappa={point.kappa:.6g}) -> {args.output}"
     )
     return EXIT_OK
 
@@ -210,15 +193,13 @@ def cmd_stats_slice(args: argparse.Namespace) -> int:
 
 def cmd_stats_correlator(args: argparse.Namespace) -> int:
     table = read_rank_table(args.table)
-    n = len(table)
-    kappa = n * float(np.dot(table.pagerank, table.cheirank)) - 1.0
     point = CorrelatorPoint(
-        kappa=kappa,
+        kappa=kappa(table.pagerank, table.cheirank),
         alpha=float(table.meta.get("alpha", DEFAULT_ALPHA)),
         alpha_star=float(table.meta.get("alpha_star", DEFAULT_ALPHA)),
     )
     write_correlator_points([point], args.output)
-    print(f"kappa={kappa!r} -> {args.output}")
+    print(f"kappa={point.kappa!r} -> {args.output}")
     return EXIT_OK
 
 

@@ -6,7 +6,10 @@ and stable: ParseError -> 2, ConvergenceError -> 3, ContractViolation -> 4.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParseError(ValueError):

@@ -19,12 +19,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractViolation, ConvergenceError, ParseError
+from .errors import ContractViolation, ConvergenceError
 from .graph import DirectedGraph, invert
 
 if TYPE_CHECKING:  # imported where a matrix is built; see DirectedGraph.from_edges
@@ -151,28 +150,6 @@ class GoogleOperator:
             self._pool.shutdown(wait=False)
 
 
-def _check_probability_vector(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (n,):
-        raise ContractViolation(f"vector length {v.shape} does not match {n} nodes")
-    if np.any(v < 0.0):
-        raise ContractViolation("probability vector has negative entries")
-    total = float(np.sum(v))
-    if abs(total - 1.0) > INPUT_SUM_TOL:
-        raise ContractViolation(f"probability vector sums to {total!r}, not 1")
-    return v
-
-
-def apply_google(g: DirectedGraph, alpha: float, v: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Single damped-transition step; validates the input vector."""
-    v = _check_probability_vector(v, g.n_nodes)
-    op = GoogleOperator(g, alpha, workers=workers)
-    try:
-        return op.apply(v)
-    finally:
-        op.close()
-
-
 def _power_iteration(
     g: DirectedGraph,
     alpha: float,
@@ -231,55 +208,3 @@ def cheirank(
     """PageRank of the link-inverted graph: highlights outgoing connectivity."""
     rv = _power_iteration(invert(g), alpha_star, tol, max_iter, workers, kind="cheirank")
     return rv
-
-
-# ---- persistence -----------------------------------------------------------
-
-
-def write_rank_vector(rv: RankVector, names: list[str], target: str | Path | IO[str]) -> None:
-    """TSV: one "name<TAB>probability" row per node, in node-index order."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_rank_vector(rv, names, f)
-        return
-    out: IO[str] = target
-    out.write(
-        f"# kind={rv.kind} alpha={rv.alpha!r} iterations={rv.iterations} "
-        f"residual={rv.residual!r}\n"
-    )
-    for name, p in zip(names, rv.values):
-        out.write(f"{name}\t{float(p)!r}\n")
-
-
-def read_rank_vector(source: str | Path | IO[str]) -> tuple[RankVector, list[str]]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_rank_vector(f)
-    meta: dict[str, str] = {}
-    names: list[str] = []
-    values: list[float] = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    meta[key] = val
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError("expected name<TAB>probability", line_no)
-        names.append(fields[0])
-        values.append(float(fields[1]))
-    if not values:
-        raise ParseError("empty rank vector file")
-    rv = RankVector(
-        kind=meta.get("kind", "pagerank"),
-        values=np.asarray(values),
-        alpha=float(meta.get("alpha", DEFAULT_ALPHA)),
-        iterations=int(meta.get("iterations", 0)),
-        residual=float(meta.get("residual", 0.0)),
-    )
-    return rv, names

@@ -8,12 +8,14 @@ only matter at the file boundary.
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import hashlib
-import io
+import re
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, ContextManager, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -224,10 +226,34 @@ _MAX_MULTIPLICITY = 2**63 - 1
 _BULK_MAX_DIGITS = 18
 
 
-def _open_text(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
+_HEADER_PAIR = re.compile(r"""([^\s=]*)=(?:('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")(?!\S)|(\S*))""")
+
+
+def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[IO[str]]:
+    """A path opened as UTF-8 text, or the caller's stream, which is left open.
+
+    Files are written with LF line ends on every platform and read with any
+    line ends.
+    """
+    if isinstance(target, (str, Path)):
+        return open(target, mode, encoding="utf-8", newline="\n" if mode == "w" else None)
+    return contextlib.nullcontext(target)
+
+
+def read_header(line: str) -> dict[str, str]:
+    """The key=value pairs of a '#' header line, every value a string.
+
+    A quoted value (a string literal, as repr writes it) is read whole,
+    spaces included, and unquoted; any other value runs to the next
+    whitespace.
+    """
+    meta: dict[str, str] = {}
+    for key, quoted, text in _HEADER_PAIR.findall(line, 1):
+        try:
+            meta[key] = ast.literal_eval(quoted) if quoted else text
+        except (SyntaxError, ValueError):
+            raise ParseError(f"bad header value {quoted}") from None
+    return meta
 
 
 def line_blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
@@ -366,17 +392,13 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     target within a line), which makes repeated runs on the same file
     deterministic.
     """
-    stream, owns = _open_text(source)
     index: dict[str, int] = {}
     ends = array("q")  # source and target index of every record, interleaved
     mult = array("q")
-    try:
+    with open_text(source) as stream:
         for line_no, lines in line_blocks(stream):
             if not _bulk_edges(lines, index, ends, mult):
                 _parse_edge_lines(lines, line_no, index, ends, mult)
-    finally:
-        if owns:
-            stream.close()
 
     records = len(mult)
     if records == 0:
@@ -397,24 +419,20 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
 
 def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
     """Serialize in canonical CSR order; reloading reproduces the graph."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_edge_list(g, f)
-        return
-    out: IO[str] = target
-    out.write(f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n")
     names = g.names
     indptr, indices, data = g.adj.indptr, g.adj.indices, g.adj.data
-    for rows in row_blocks(g.adj.nnz):
-        sources = np.searchsorted(indptr, np.arange(rows.start, rows.stop), side="right") - 1
-        out.write(
-            tsv_block(
-                len(sources),
-                map(names.__getitem__, sources.tolist()),
-                map(names.__getitem__, indices[rows].tolist()),
-                map(str, data[rows].tolist()),
+    with open_text(target, "w") as out:
+        out.write(f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n")
+        for rows in row_blocks(g.adj.nnz):
+            sources = np.searchsorted(indptr, np.arange(rows.start, rows.stop), side="right") - 1
+            out.write(
+                tsv_block(
+                    len(sources),
+                    map(names.__getitem__, sources.tolist()),
+                    map(names.__getitem__, indices[rows].tolist()),
+                    map(str, data[rows].tolist()),
+                )
             )
-        )
 
 
 # ---- node subsets ----------------------------------------------------------
@@ -451,13 +469,12 @@ def load_node_subset(
     unresolved name aborts with its line number; in lenient mode unresolved
     names are collected in the report and skipped.
     """
-    stream, owns = _open_text(source)
     members: list[int] = []
     member_names: list[str] = []
     seen: set[str] = set()
     duplicates = 0
     unresolved: list[str] = []
-    try:
+    with open_text(source) as stream:
         for line_no, raw in numbered_lines(stream):
             name = raw.rstrip("\n").rstrip("\r").strip()
             if not name or name.startswith(COMMENT_CHAR):
@@ -474,21 +491,9 @@ def load_node_subset(
                 continue
             members.append(idx)
             member_names.append(name)
-    finally:
-        if owns:
-            stream.close()  # type: ignore[union-attr]
 
     subset = NodeSubset(label=label, members=tuple(members), names=tuple(member_names))
     report = SubsetReport(
         resolved=len(members), duplicates=duplicates, unresolved=tuple(unresolved)
     )
     return subset, report
-
-
-def subset_from_names(
-    names: Iterable[str], name_index: Mapping[str, int], label: str = "subset"
-) -> NodeSubset:
-    """Resolve an in-memory name sequence (strict) into a NodeSubset."""
-    buf = io.StringIO("".join(f"{n}\n" for n in names))
-    subset, _ = load_node_subset(buf, name_index, label=label, strict=True)
-    return subset

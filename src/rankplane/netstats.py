@@ -3,8 +3,14 @@ profiles, power-law fits, the independent-product null model, and a seeded
 scale-free graph generator for desk-scale experiments.
 
 Reference values measured on the August 2009 English Wikipedia article
-network (N = 3,282,257) are recorded below for orientation only; nothing in
-this package asserts them, since that snapshot is not shipped.
+network (N = 3,282,257), for orientation only; nothing in this package
+asserts them, since that snapshot is not shipped:
+
+    correlator kappa                 4.08
+    in-degree exponent mu_in         2.09 +/- 0.04
+    out-degree exponent mu_out       2.76 +/- 0.06
+    pagerank rank-curve exponent     0.92
+    cheirank rank-curve exponent     0.57
 """
 
 from __future__ import annotations
@@ -24,15 +30,8 @@ from .googlerank import (
     RankVector,
     pagerank,
 )
-from .graph import DegreeHistogram, DirectedGraph, invert
+from .graph import DegreeHistogram, DirectedGraph, invert, open_text, read_header
 from .twodrank import RankTable
-
-# August 2009 English Wikipedia article network, for reference only.
-WIKIPEDIA_2009_KAPPA = 4.08        # rank-probability correlator
-WIKIPEDIA_2009_MU_IN = 2.09        # in-degree exponent, +/- 0.04
-WIKIPEDIA_2009_MU_OUT = 2.76       # out-degree exponent, +/- 0.06
-WIKIPEDIA_2009_BETA_IN = 0.92      # pagerank rank-curve exponent
-WIKIPEDIA_2009_BETA_OUT = 0.57     # cheirank rank-curve exponent
 
 
 # ---- correlator ------------------------------------------------------------
@@ -48,6 +47,11 @@ class CorrelatorPoint:
     converged: bool = True
 
 
+def kappa(p: np.ndarray, p_star: np.ndarray) -> float:
+    """kappa = N * sum_i P(i) P*(i) - 1 of two probability vectors of length N."""
+    return len(p) * float(np.dot(p, p_star)) - 1.0
+
+
 def correlator(p: RankVector, p_star: RankVector) -> CorrelatorPoint:
     """Correlation of the two rank probability vectors around independence.
 
@@ -58,9 +62,9 @@ def correlator(p: RankVector, p_star: RankVector) -> CorrelatorPoint:
         raise ContractViolation(
             f"vector lengths differ: {p.n_nodes} vs {p_star.n_nodes}"
         )
-    n = p.n_nodes
-    kappa = n * float(np.dot(p.values, p_star.values)) - 1.0
-    return CorrelatorPoint(kappa=kappa, alpha=p.alpha, alpha_star=p_star.alpha)
+    return CorrelatorPoint(
+        kappa=kappa(p.values, p_star.values), alpha=p.alpha, alpha_star=p_star.alpha
+    )
 
 
 def correlator_sweep(
@@ -115,8 +119,7 @@ def correlator_sweep(
         if p is None or p_star is None:
             points.append(CorrelatorPoint(math.nan, a, s, converged=False))
         else:
-            kappa = g.n_nodes * float(np.dot(p.values, p_star.values)) - 1.0
-            points.append(CorrelatorPoint(kappa, a, s))
+            points.append(CorrelatorPoint(kappa(p.values, p_star.values), a, s))
     return points
 
 
@@ -466,46 +469,37 @@ def _draw_degrees(pmf: np.ndarray, k_start: int, n: int, rng: np.random.Generato
 
 def write_density_grid(grid: DensityGrid, target: str | Path | IO[str]) -> None:
     """CSV with one row per cell: i,j,count,w,density_per_area."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_density_grid(grid, f)
-        return
-    out: IO[str] = target
-    out.write(
-        f"# n_ranks={grid.n_ranks} n_samples={grid.n_samples} cells={grid.cells} "
-        f"axis_max={grid.axis_max!r}\n"
-    )
-    out.write("i,j,count,w,density_per_area\n")
     per_area = grid.density_per_area()
     w = grid.w
-    for i in range(grid.cells):
-        for j in range(grid.cells):
-            out.write(
-                f"{i},{j},{int(grid.counts[i, j])},{float(w[i, j])!r},"
-                f"{float(per_area[i, j])!r}\n"
-            )
+    with open_text(target, "w") as out:
+        out.write(
+            f"# n_ranks={grid.n_ranks} n_samples={grid.n_samples} cells={grid.cells} "
+            f"axis_max={grid.axis_max!r}\n"
+        )
+        out.write("i,j,count,w,density_per_area\n")
+        for i in range(grid.cells):
+            for j in range(grid.cells):
+                out.write(
+                    f"{i},{j},{int(grid.counts[i, j])},{float(w[i, j])!r},"
+                    f"{float(per_area[i, j])!r}\n"
+                )
 
 
 def read_density_grid(source: str | Path | IO[str]) -> DensityGrid:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_density_grid(f)
     meta: dict[str, str] = {}
     rows: list[tuple[int, int, int]] = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("i,"):
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    meta[key] = val
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ParseError("expected i,j,count,w,density_per_area", line_no)
-        rows.append((int(fields[0]), int(fields[1]), int(fields[2])))
+    with open_text(source) as stream:
+        for line_no, raw in enumerate(stream, start=1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("i,"):
+                continue
+            if line.startswith("#"):
+                meta.update(read_header(line))
+                continue
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise ParseError("expected i,j,count,w,density_per_area", line_no)
+            rows.append((int(fields[0]), int(fields[1]), int(fields[2])))
     cells = int(meta["cells"])
     counts = np.zeros((cells, cells), dtype=np.int64)
     for i, j, c in rows:
@@ -516,67 +510,53 @@ def read_density_grid(source: str | Path | IO[str]) -> DensityGrid:
 
 
 def write_eta_slice(sl: EtaSlice, target: str | Path | IO[str]) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_eta_slice(sl, f)
-        return
-    target.write(f"# x0={float(sl.x0)!r}\n")
-    target.write("eta,density\n")
-    for e, d in zip(sl.eta, sl.density):
-        target.write(f"{float(e)!r},{float(d)!r}\n")
+    with open_text(target, "w") as out:
+        out.write(f"# x0={float(sl.x0)!r}\n")
+        out.write("eta,density\n")
+        for e, d in zip(sl.eta, sl.density):
+            out.write(f"{float(e)!r},{float(d)!r}\n")
 
 
 def write_power_law_fit(fit: PowerLawFit, target: str | Path | IO[str]) -> None:
     """Binned points as x,y rows; the fitted parameters live in the header."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_power_law_fit(fit, f)
-        return
-    target.write(
-        f"# exponent={fit.exponent!r} stderr={fit.stderr!r} "
-        f"r_squared={fit.r_squared!r} fit_min={fit.fit_range[0]!r} "
-        f"fit_max={fit.fit_range[1]!r}\n"
-    )
-    target.write("x,y\n")
-    for xv, yv in zip(fit.bin_x, fit.bin_y):
-        target.write(f"{float(xv)!r},{float(yv)!r}\n")
+    with open_text(target, "w") as out:
+        out.write(
+            f"# exponent={fit.exponent!r} stderr={fit.stderr!r} "
+            f"r_squared={fit.r_squared!r} fit_min={fit.fit_range[0]!r} "
+            f"fit_max={fit.fit_range[1]!r}\n"
+        )
+        out.write("x,y\n")
+        for xv, yv in zip(fit.bin_x, fit.bin_y):
+            out.write(f"{float(xv)!r},{float(yv)!r}\n")
 
 
 def write_correlator_points(
     points: Sequence[CorrelatorPoint], target: str | Path | IO[str]
 ) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_correlator_points(points, f)
-        return
-    target.write("alpha,alpha_star,kappa,converged\n")
-    for pt in points:
-        target.write(f"{pt.alpha!r},{pt.alpha_star!r},{pt.kappa!r},{int(pt.converged)}\n")
+    with open_text(target, "w") as out:
+        out.write("alpha,alpha_star,kappa,converged\n")
+        for pt in points:
+            out.write(f"{pt.alpha!r},{pt.alpha_star!r},{pt.kappa!r},{int(pt.converged)}\n")
 
 
 def read_csv_series(source: str | Path | IO[str]) -> tuple[dict[str, str], dict[str, list[str]]]:
     """Generic reader for the two-column-and-up series CSVs written above."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_csv_series(f)
     meta: dict[str, str] = {}
     header: list[str] | None = None
     columns: dict[str, list[str]] = {}
-    for raw in source:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    meta[key] = val
-            continue
-        fields = line.split(",")
-        if header is None:
-            header = fields
-            columns = {name: [] for name in header}
-            continue
-        for name, value in zip(header, fields):
-            columns[name].append(value)
+    with open_text(source) as stream:
+        for raw in stream:
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                meta.update(read_header(line))
+                continue
+            fields = line.split(",")
+            if header is None:
+                header = fields
+                columns = {name: [] for name in header}
+                continue
+            for name, value in zip(header, fields):
+                columns[name].append(value)
     return meta, columns

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset, numbered_lines
+from .graph import NodeSubset, numbered_lines, open_text, read_header
 
 SERIES_KINDS = ("cumulative_f", "window_fw", "subset_fw")
 
@@ -60,19 +60,17 @@ def ranked_list(names: Iterable[str]) -> RankedList:
 
 def load_ranked_list(source: str | Path | IO[str]) -> RankedList:
     """One name per line, best rank first; '#' lines are comments."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            return load_ranked_list(f)
     names: list[str] = []
     seen: set[str] = set()
-    for line_no, raw in numbered_lines(source):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line in seen:
-            raise ParseError(f"duplicate name {line!r}", line_no)
-        seen.add(line)
-        names.append(line)
+    with open_text(source) as stream:
+        for line_no, raw in numbered_lines(stream):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line in seen:
+                raise ParseError(f"duplicate name {line!r}", line_no)
+            seen.add(line)
+            names.append(line)
     if not names:
         raise ParseError("ranked list is empty")
     return RankedList(names=tuple(names))
@@ -161,40 +159,31 @@ def subset_window_fraction(
 
 
 def write_overlap_series(series: OverlapSeries, target: str | Path | IO[str]) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_overlap_series(series, f)
-        return
     window = "" if series.window is None else f" window={series.window}"
-    target.write(f"# kind={series.kind}{window}\n")
-    target.write("x,f\n")
-    for x, f in series.points:
-        target.write(f"{x!r},{f!r}\n")
+    with open_text(target, "w") as out:
+        out.write(f"# kind={series.kind}{window}\n")
+        out.write("x,f\n")
+        for x, f in series.points:
+            out.write(f"{x!r},{f!r}\n")
 
 
 def read_overlap_series(source: str | Path | IO[str]) -> OverlapSeries:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_overlap_series(f)
-    kind = ""
-    window: int | None = None
+    meta: dict[str, str] = {}
     points: list[tuple[float, float]] = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line or line == "x,f":
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, _, val = token.partition("=")
-                if key == "kind":
-                    kind = val
-                elif key == "window":
-                    window = int(val)
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ParseError("expected x,f", line_no)
-        points.append((float(fields[0]), float(fields[1])))
+    with open_text(source) as stream:
+        for line_no, raw in enumerate(stream, start=1):
+            line = raw.rstrip("\n")
+            if not line or line == "x,f":
+                continue
+            if line.startswith("#"):
+                meta.update(read_header(line))
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ParseError("expected x,f", line_no)
+            points.append((float(fields[0]), float(fields[1])))
+    kind = meta.get("kind", "")
     if kind not in SERIES_KINDS:
         raise ParseError(f"missing or unknown series kind {kind!r}")
+    window = int(meta["window"]) if "window" in meta else None
     return OverlapSeries(kind=kind, points=tuple(points), window=window)

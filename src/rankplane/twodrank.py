@@ -20,7 +20,15 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset, line_blocks, row_blocks, split_block, tsv_block
+from .graph import (
+    NodeSubset,
+    line_blocks,
+    open_text,
+    read_header,
+    row_blocks,
+    split_block,
+    tsv_block,
+)
 
 _TABLE_COLUMNS = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d")
 
@@ -172,29 +180,25 @@ def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
 
 def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
     """TSV rows sorted by pagerank rank; '#' header lines carry the metadata."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as f:
-            write_rank_table(table, f)
-        return
-    out: IO[str] = target
-    if table.meta:
-        pairs = " ".join(f"{k}={table.meta[k]!r}" for k in sorted(table.meta))
-        out.write(f"# {pairs}\n")
-    out.write("\t".join(_TABLE_COLUMNS) + "\n")
     order = np.argsort(table.pagerank_rank)
-    for rows in row_blocks(len(order)):
-        i = order[rows]
-        out.write(
-            tsv_block(
-                len(i),
-                map(table.names.__getitem__, i.tolist()),
-                map(repr, table.pagerank[i].tolist()),
-                map(str, table.pagerank_rank[i].tolist()),
-                map(repr, table.cheirank[i].tolist()),
-                map(str, table.cheirank_rank[i].tolist()),
-                map(str, table.rank2d[i].tolist()),
+    with open_text(target, "w") as out:
+        if table.meta:
+            pairs = " ".join(f"{k}={table.meta[k]!r}" for k in sorted(table.meta))
+            out.write(f"# {pairs}\n")
+        out.write("\t".join(_TABLE_COLUMNS) + "\n")
+        for rows in row_blocks(len(order)):
+            i = order[rows]
+            out.write(
+                tsv_block(
+                    len(i),
+                    map(table.names.__getitem__, i.tolist()),
+                    map(repr, table.pagerank[i].tolist()),
+                    map(str, table.pagerank_rank[i].tolist()),
+                    map(repr, table.cheirank[i].tolist()),
+                    map(str, table.cheirank_rank[i].tolist()),
+                    map(str, table.rank2d[i].tolist()),
+                )
             )
-        )
 
 
 # File column j + 1 parses with _ROW_PARSERS[j] into an array of that type
@@ -242,10 +246,7 @@ def _parse_table_lines(
         if not line:
             continue
         if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    meta[key] = val.strip("'\"")
+            meta.update(read_header(line))
             continue
         fields = line.split("\t")
         if not saw_header:
@@ -268,16 +269,14 @@ def _parse_table_lines(
 
 def read_rank_table(source: str | Path | IO[str]) -> RankTable:
     """Parse a table written by write_rank_table (rows keep file order)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            return read_rank_table(f)
     meta: dict = {}
     names: list[str] = []
     columns = [array(code) for _, code in _ROW_PARSERS]
     saw_header = False
-    for line_no, lines in line_blocks(source):
-        if not (saw_header and _bulk_rows(lines, names, columns)):
-            saw_header = _parse_table_lines(lines, line_no, saw_header, meta, names, columns)
+    with open_text(source) as stream:
+        for line_no, lines in line_blocks(stream):
+            if not (saw_header and _bulk_rows(lines, names, columns)):
+                saw_header = _parse_table_lines(lines, line_no, saw_header, meta, names, columns)
     if not names:
         raise ParseError("empty rank table file")
     pagerank, pagerank_rank, cheirank, cheirank_rank, rank2d = map(np.array, columns)

@@ -390,6 +390,16 @@ def test_subset_command_strict_vs_lenient(random_edges, tmp_path, capsys):
 SCIPY_PROBE = """\
 import json
 import sys
+import rankplane
+
+numpy_on_import = "numpy" in sys.modules
+exports = list(rankplane.__all__)
+unresolved = [name for name in exports if getattr(rankplane, name, None) is None]
+try:
+    rankplane.nope
+    nope_raises = False
+except AttributeError:
+    nope_raises = True
 from rankplane.cli import main
 
 def scipy_modules():
@@ -398,12 +408,17 @@ def scipy_modules():
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 after_analysis = scipy_modules()
 synth = main(json.loads(sys.argv[2]))
-print(json.dumps([codes, after_analysis, synth, bool(scipy_modules())]))
+print(json.dumps([numpy_on_import, exports, unresolved, nope_raises,
+                  codes, after_analysis, synth, bool(scipy_modules())]))
 """
 
 
 def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
-    """Only synth and rank build sparse matrices, so only they import SciPy."""
+    """Only synth and rank build sparse matrices, so only they import SciPy.
+
+    The package itself imports nothing until a name is used: `import
+    rankplane` loads no NumPy, and every exported name resolves on demand.
+    """
     table = str(rank_table_for(random_edges, tmp_path))
     names = [f"v{i:02d}" for i in range(50)]
     a = str(write_list(tmp_path / "a.txt", names))
@@ -429,9 +444,14 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    codes, after_analysis, synth_code, scipy_after_synth = json.loads(
-        result.stdout.splitlines()[-1]
-    )
+    (
+        numpy_on_import, exports, unresolved, nope_raises,
+        codes, after_analysis, synth_code, scipy_after_synth,
+    ) = json.loads(result.stdout.splitlines()[-1])
+    assert not numpy_on_import
+    assert exports and len(set(exports)) == len(exports)
+    assert unresolved == []
+    assert nope_raises
     assert codes == [0] * len(analysis), result.stderr
     assert after_analysis == []
     assert synth_code == 0 and scipy_after_synth

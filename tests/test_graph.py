@@ -9,12 +9,32 @@ from rankplane import (
     ContractViolation,
     DirectedGraph,
     ParseError,
+    build_rank_table,
+    cheirank,
+    correlator,
     degree_distribution,
+    density_grid,
+    fit_power_law,
     invert,
     load_edge_list,
     load_node_subset,
-    subset_from_names,
+    pagerank,
+    ranked_list,
+    read_density_grid,
+    read_overlap_series,
+    read_rank_table,
+    slice_density,
+    window_overlap,
+    write_density_grid,
     write_edge_list,
+    write_overlap_series,
+    write_rank_table,
+)
+from rankplane.netstats import (
+    read_csv_series,
+    write_correlator_points,
+    write_eta_slice,
+    write_power_law_fit,
 )
 
 BASIC = """\
@@ -238,6 +258,49 @@ def test_subset_lenient_collects_unresolved():
 
 def test_subset_from_names():
     g = load("a\tb\nb\tc\n")
-    s = subset_from_names(["c", "a"], g.name_index, label="x")
+    s, _ = load_node_subset(io.StringIO("c\na\n"), g.name_index, label="x")
     assert s.members == (2, 0)
     assert s.label == "x"
+
+
+# ---- the text-file boundary, shared by every writer and reader --------------
+
+
+def boundary_cases():
+    """(writer, value, matching reader) for each file format the package writes."""
+    g = load("a\tb\nb\t\u00e9\t2\n\u00e9\ta\n")
+    p, p_star = pagerank(g), cheirank(g)
+    table = build_rank_table(g.names, p.values, p_star.values, meta={"label": "my group"})
+    grid = density_grid(table, cells=2)
+    x = np.arange(1.0, 11.0)
+    return {
+        "edge_list": (write_edge_list, g, load_edge_list),
+        "rank_table": (write_rank_table, table, read_rank_table),
+        "density_grid": (write_density_grid, grid, read_density_grid),
+        "eta_slice": (write_eta_slice, slice_density(grid, 0.5), read_csv_series),
+        "power_law_fit": (write_power_law_fit, fit_power_law(x, x**-1.5, (1.0, 10.0), 4),
+                          read_csv_series),
+        "correlator_points": (write_correlator_points, [correlator(p, p_star)], read_csv_series),
+        "overlap_series": (
+            write_overlap_series,
+            window_overlap(ranked_list("abcd"), ranked_list("bacd"), window=2),
+            read_overlap_series,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", list(boundary_cases()))
+def test_writers_and_readers_share_one_text_boundary(kind, tmp_path):
+    write, value, read = boundary_cases()[kind]
+    buf = io.StringIO()
+    write(value, buf)
+    assert not buf.closed
+    text = buf.getvalue()
+    path = tmp_path / "out.txt"
+    write(value, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert "\n" in text and "\r" not in text
+    stream = io.StringIO(text)
+    read(stream)
+    assert not stream.closed
+    read(str(path))

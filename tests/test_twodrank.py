@@ -168,6 +168,15 @@ def test_table_file_round_trip(tmp_path):
     assert t2.meta["alpha"] == "0.85"
 
 
+@pytest.mark.parametrize("label", ["my group", "it's", "a\\b", "x=y z"])
+def test_header_values_with_spaces_and_quotes_read_back_whole(label):
+    sub = subset_rank(small_table(), NodeSubset(label=label, members=(2, 0)))
+    buf = io.StringIO()
+    write_rank_table(sub, buf)
+    back = read_rank_table(io.StringIO(buf.getvalue()))
+    assert back.meta == {"alpha": "0.85", "subset_label": label, "subset_size": "2"}
+
+
 def test_read_rank_table_rejects_bad_header():
     with pytest.raises(ParseError):
         read_rank_table(io.StringIO("name\tpagerank\n"))
