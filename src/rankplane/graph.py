@@ -187,18 +187,12 @@ def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True)
     """
     if direction not in ("in", "out"):
         raise ContractViolation(f"direction must be 'in' or 'out', got {direction!r}")
-    if direction == "out":
-        if weighted:
-            degrees = np.asarray(g.adj.sum(axis=1)).ravel().astype(np.int64)
-        else:
-            degrees = np.diff(g.adj.indptr).astype(np.int64)
+    if weighted:
+        degrees = (g.out_weight() if direction == "out" else g.in_weight()).astype(np.int64)
+    elif direction == "out":
+        degrees = np.diff(g.adj.indptr).astype(np.int64)
     else:
-        if weighted:
-            degrees = np.bincount(
-                g.adj.indices, weights=g.adj.data, minlength=g.n_nodes
-            ).astype(np.int64)
-        else:
-            degrees = np.bincount(g.adj.indices, minlength=g.n_nodes).astype(np.int64)
+        degrees = np.bincount(g.adj.indices, minlength=g.n_nodes).astype(np.int64)
     values, counts = np.unique(degrees, return_counts=True)
     return DegreeHistogram(
         direction=direction,
@@ -256,6 +250,41 @@ def read_header(line: str) -> dict[str, str]:
     return meta
 
 
+def write_series(
+    columns: Mapping[str, list], target: str | Path | IO[str], meta: Mapping | None = None
+) -> None:
+    """A series CSV: an optional '# key=value' line with each value as its text,
+    the column names, then one row per point with every value written by repr."""
+    with open_text(target, "w") as out:
+        if meta:
+            out.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        out.write(",".join(columns) + "\n")
+        for rows in row_blocks(min(map(len, columns.values()))):
+            fields = (map(repr, column[rows]) for column in columns.values())
+            out.write(tsv_block(rows.stop - rows.start, *fields, sep=","))
+
+
+def read_series(source: str | Path | IO[str]) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """The header values and the columns of a series CSV, every value a string.
+    Blank lines are skipped; a row with the wrong field count is a ParseError."""
+    meta: dict[str, str] = {}
+    columns: dict[str, list[str]] = {}
+    with open_text(source) as stream:
+        for first_line_no, lines in line_blocks(stream):
+            for line_no, raw in enumerate(lines, start=first_line_no):
+                line = raw.rstrip("\n")
+                if line.startswith(COMMENT_CHAR):
+                    meta.update(read_header(line))
+                elif line and not columns:
+                    columns = {name: [] for name in line.split(",")}
+                elif line:
+                    if len(fields := line.split(",")) != len(columns):
+                        raise ParseError(f"expected {len(columns)} fields", line_no)
+                    for column, value in zip(columns.values(), fields):
+                        column.append(value)
+    return meta, columns
+
+
 def line_blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (number of the first line, lines) for consecutive blocks of lines."""
     line_no = 1
@@ -270,10 +299,13 @@ def line_blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
         line_no += len(lines)
 
 
-def numbered_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line) for every line, read in blocks as line_blocks does."""
+def name_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, name) for each stripped line that is not blank or a comment."""
     for first_line_no, lines in line_blocks(stream):
-        yield from enumerate(lines, start=first_line_no)
+        for line_no, raw in enumerate(lines, start=first_line_no):
+            name = raw.strip()
+            if name and not name.startswith(COMMENT_CHAR):
+                yield line_no, name
 
 
 def split_block(lines: list[str], n_fields: int) -> list[str] | None:
@@ -302,11 +334,11 @@ def row_blocks(n_rows: int) -> Iterator[slice]:
         yield slice(lo, min(lo + _BLOCK_ROWS, n_rows))
 
 
-def tsv_block(n_rows: int, *columns: Iterable[str]) -> str:
-    """n_rows rows of tab-separated fields, one field from each column, each
+def tsv_block(n_rows: int, *columns: Iterable[str], sep: str = "\t") -> str:
+    """n_rows rows of sep-separated fields, one field from each column, each
     row ending in a newline."""
     width = 2 * len(columns)
-    pieces = ["\t"] * (width * n_rows)
+    pieces = [sep] * (width * n_rows)
     pieces[width - 1 :: width] = ["\n"] * n_rows
     for j, column in enumerate(columns):
         pieces[2 * j :: width] = column
@@ -475,10 +507,7 @@ def load_node_subset(
     duplicates = 0
     unresolved: list[str] = []
     with open_text(source) as stream:
-        for line_no, raw in numbered_lines(stream):
-            name = raw.rstrip("\n").rstrip("\r").strip()
-            if not name or name.startswith(COMMENT_CHAR):
-                continue
+        for line_no, name in name_lines(stream):
             if name in seen:
                 duplicates += 1
                 continue

@@ -30,7 +30,7 @@ from .googlerank import (
     RankVector,
     pagerank,
 )
-from .graph import DegreeHistogram, DirectedGraph, invert, open_text, read_header
+from .graph import DegreeHistogram, DirectedGraph, invert, read_series, write_series
 from .twodrank import RankTable
 
 
@@ -268,6 +268,8 @@ def fit_power_law(
     lo, hi = float(fit_range[0]), float(fit_range[1])
     if not 0.0 < lo < hi:
         raise ContractViolation(f"invalid fit range [{lo}, {hi}]")
+    if num_bins < 1:
+        raise ContractViolation(f"need at least 1 bin, got {num_bins}")
     inside = (x >= lo) & (x <= hi)
     if np.any(y[inside] <= 0.0):
         raise ContractViolation("zero or negative values inside the fit range")
@@ -341,6 +343,8 @@ def sample_independent(
     """
     if n < 1:
         raise ContractViolation("need at least one sample")
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed}")
     ks = _sample_curve(np.asarray(p_curve, dtype=np.float64), n, np.random.default_rng(seed))
     k_stars = _sample_curve(
         np.asarray(p_star_curve, dtype=np.float64), n, np.random.default_rng(seed + 1)
@@ -432,12 +436,14 @@ def generate_scale_free(
         raise ContractViolation("degree exponents must exceed 2 (finite mean)")
     if mean_degree < 1.0:
         raise ContractViolation(f"mean degree must be >= 1, got {mean_degree}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     k0_in, pmf_in = _mean_adjusted_pmf(mu_in, mean_degree, n)
     k0_out, pmf_out = _mean_adjusted_pmf(mu_out, mean_degree, n)
-    deg_in = _draw_degrees(pmf_in, k0_in, n, rng)
-    deg_out = _draw_degrees(pmf_out, k0_out, n, rng)
+    deg_in = _sample_curve(pmf_in, n, rng) + (k0_in - 1)
+    deg_out = _sample_curve(pmf_out, n, rng) + (k0_out - 1)
 
     in_stubs = np.repeat(np.arange(n, dtype=np.int64), deg_in)
     out_stubs = np.repeat(np.arange(n, dtype=np.int64), deg_out)
@@ -458,105 +464,52 @@ def generate_scale_free(
     )
 
 
-def _draw_degrees(pmf: np.ndarray, k_start: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(pmf)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(n), side="right").astype(np.int64) + k_start
-
-
 # ---- persistence -----------------------------------------------------------
+
+_GRID_COLUMNS = ("i", "j", "count", "w", "density_per_area")
 
 
 def write_density_grid(grid: DensityGrid, target: str | Path | IO[str]) -> None:
     """CSV with one row per cell: i,j,count,w,density_per_area."""
-    per_area = grid.density_per_area()
-    w = grid.w
-    with open_text(target, "w") as out:
-        out.write(
-            f"# n_ranks={grid.n_ranks} n_samples={grid.n_samples} cells={grid.cells} "
-            f"axis_max={grid.axis_max!r}\n"
-        )
-        out.write("i,j,count,w,density_per_area\n")
-        for i in range(grid.cells):
-            for j in range(grid.cells):
-                out.write(
-                    f"{i},{j},{int(grid.counts[i, j])},{float(w[i, j])!r},"
-                    f"{float(per_area[i, j])!r}\n"
-                )
+    i, j = np.divmod(np.arange(grid.counts.size), grid.cells)
+    values = (i, j, grid.counts, grid.w, grid.density_per_area())
+    meta = dict(
+        n_ranks=grid.n_ranks, n_samples=grid.n_samples, cells=grid.cells, axis_max=grid.axis_max
+    )
+    write_series({k: v.ravel().tolist() for k, v in zip(_GRID_COLUMNS, values)}, target, meta)
 
 
 def read_density_grid(source: str | Path | IO[str]) -> DensityGrid:
-    meta: dict[str, str] = {}
-    rows: list[tuple[int, int, int]] = []
-    with open_text(source) as stream:
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("i,"):
-                continue
-            if line.startswith("#"):
-                meta.update(read_header(line))
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise ParseError("expected i,j,count,w,density_per_area", line_no)
-            rows.append((int(fields[0]), int(fields[1]), int(fields[2])))
-    cells = int(meta["cells"])
-    counts = np.zeros((cells, cells), dtype=np.int64)
-    for i, j, c in rows:
-        counts[i, j] = c
-    return DensityGrid(
-        counts=counts, n_ranks=int(meta["n_ranks"]), n_samples=int(meta["n_samples"])
-    )
+    meta, columns = read_series(source)
+    if tuple(columns) != _GRID_COLUMNS:
+        raise ParseError(f"expected the columns {','.join(_GRID_COLUMNS)}")
+    try:
+        cells, n_ranks, n_samples = (int(meta[k]) for k in ("cells", "n_ranks", "n_samples"))
+        i, j, count = (np.array(columns[k], dtype=np.int64) for k in _GRID_COLUMNS[:3])
+        counts = np.zeros(cells * cells, dtype=np.int64)
+        counts[np.ravel_multi_index((i, j), (cells, cells))] = count
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad or missing density grid value: {exc}") from None
+    return DensityGrid(counts.reshape(cells, cells), n_ranks, n_samples)
 
 
 def write_eta_slice(sl: EtaSlice, target: str | Path | IO[str]) -> None:
-    with open_text(target, "w") as out:
-        out.write(f"# x0={float(sl.x0)!r}\n")
-        out.write("eta,density\n")
-        for e, d in zip(sl.eta, sl.density):
-            out.write(f"{float(e)!r},{float(d)!r}\n")
+    columns = {"eta": sl.eta.tolist(), "density": sl.density.tolist()}
+    write_series(columns, target, {"x0": float(sl.x0)})
 
 
 def write_power_law_fit(fit: PowerLawFit, target: str | Path | IO[str]) -> None:
     """Binned points as x,y rows; the fitted parameters live in the header."""
-    with open_text(target, "w") as out:
-        out.write(
-            f"# exponent={fit.exponent!r} stderr={fit.stderr!r} "
-            f"r_squared={fit.r_squared!r} fit_min={fit.fit_range[0]!r} "
-            f"fit_max={fit.fit_range[1]!r}\n"
-        )
-        out.write("x,y\n")
-        for xv, yv in zip(fit.bin_x, fit.bin_y):
-            out.write(f"{float(xv)!r},{float(yv)!r}\n")
+    lo, hi = fit.fit_range
+    meta = dict(
+        exponent=fit.exponent, stderr=fit.stderr, r_squared=fit.r_squared, fit_min=lo, fit_max=hi
+    )
+    write_series({"x": fit.bin_x.tolist(), "y": fit.bin_y.tolist()}, target, meta)
 
 
 def write_correlator_points(
     points: Sequence[CorrelatorPoint], target: str | Path | IO[str]
 ) -> None:
-    with open_text(target, "w") as out:
-        out.write("alpha,alpha_star,kappa,converged\n")
-        for pt in points:
-            out.write(f"{pt.alpha!r},{pt.alpha_star!r},{pt.kappa!r},{int(pt.converged)}\n")
-
-
-def read_csv_series(source: str | Path | IO[str]) -> tuple[dict[str, str], dict[str, list[str]]]:
-    """Generic reader for the two-column-and-up series CSVs written above."""
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    columns: dict[str, list[str]] = {}
-    with open_text(source) as stream:
-        for raw in stream:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta.update(read_header(line))
-                continue
-            fields = line.split(",")
-            if header is None:
-                header = fields
-                columns = {name: [] for name in header}
-                continue
-            for name, value in zip(header, fields):
-                columns[name].append(value)
-    return meta, columns
+    columns = {k: [getattr(pt, k) for pt in points] for k in ("alpha", "alpha_star", "kappa")}
+    columns["converged"] = [int(pt.converged) for pt in points]
+    write_series(columns, target)

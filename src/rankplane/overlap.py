@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset, numbered_lines, open_text, read_header
+from .graph import NodeSubset, name_lines, open_text, read_series, write_series
 
 SERIES_KINDS = ("cumulative_f", "window_fw", "subset_fw")
 
@@ -63,14 +63,11 @@ def load_ranked_list(source: str | Path | IO[str]) -> RankedList:
     names: list[str] = []
     seen: set[str] = set()
     with open_text(source) as stream:
-        for line_no, raw in numbered_lines(stream):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line in seen:
-                raise ParseError(f"duplicate name {line!r}", line_no)
-            seen.add(line)
-            names.append(line)
+        for line_no, name in name_lines(stream):
+            if name in seen:
+                raise ParseError(f"duplicate name {name!r}", line_no)
+            seen.add(name)
+            names.append(name)
     if not names:
         raise ParseError("ranked list is empty")
     return RankedList(names=tuple(names))
@@ -159,31 +156,21 @@ def subset_window_fraction(
 
 
 def write_overlap_series(series: OverlapSeries, target: str | Path | IO[str]) -> None:
-    window = "" if series.window is None else f" window={series.window}"
-    with open_text(target, "w") as out:
-        out.write(f"# kind={series.kind}{window}\n")
-        out.write("x,f\n")
-        for x, f in series.points:
-            out.write(f"{x!r},{f!r}\n")
+    window = {} if series.window is None else {"window": series.window}
+    columns = {"x": [x for x, _ in series.points], "f": series.fractions()}
+    write_series(columns, target, {"kind": series.kind, **window})
 
 
 def read_overlap_series(source: str | Path | IO[str]) -> OverlapSeries:
-    meta: dict[str, str] = {}
-    points: list[tuple[float, float]] = []
-    with open_text(source) as stream:
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\n")
-            if not line or line == "x,f":
-                continue
-            if line.startswith("#"):
-                meta.update(read_header(line))
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ParseError("expected x,f", line_no)
-            points.append((float(fields[0]), float(fields[1])))
+    meta, columns = read_series(source)
     kind = meta.get("kind", "")
     if kind not in SERIES_KINDS:
         raise ParseError(f"missing or unknown series kind {kind!r}")
-    window = int(meta["window"]) if "window" in meta else None
-    return OverlapSeries(kind=kind, points=tuple(points), window=window)
+    if list(columns) != ["x", "f"]:
+        raise ParseError("expected the columns x,f")
+    try:
+        window = int(meta["window"]) if "window" in meta else None
+        points = tuple(zip(map(float, columns["x"]), map(float, columns["f"])))
+    except ValueError as exc:
+        raise ParseError(f"bad overlap series value: {exc}") from None
+    return OverlapSeries(kind=kind, points=points, window=window)

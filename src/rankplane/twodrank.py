@@ -118,6 +118,16 @@ class RankTable:
         return [self.names[i] for i in np.argsort(ranks)]
 
 
+def _ranked_table(
+    names: list[str], pagerank: np.ndarray, cheirank: np.ndarray, meta: dict, ties=(None, None)
+) -> RankTable:
+    """The table of both probability columns ranked (ties by `ties`, else by row) and combined."""
+    k_idx = rank_indices(pagerank, "pagerank_rank", ties[0])
+    k_star_idx = rank_indices(cheirank, "cheirank_rank", ties[1])
+    rank2d = two_d_rank(k_idx, k_star_idx).position
+    return RankTable(names, pagerank, cheirank, k_idx.position, k_star_idx.position, rank2d, meta)
+
+
 def build_rank_table(
     names: list[str],
     pagerank_values: np.ndarray,
@@ -128,18 +138,9 @@ def build_rank_table(
     n = len(names)
     if len(pagerank_values) != n or len(cheirank_values) != n:
         raise ContractViolation("probability vectors do not match the node table")
-    k_idx = rank_indices(pagerank_values, kind="pagerank_rank")
-    k_star_idx = rank_indices(cheirank_values, kind="cheirank_rank")
-    k2_idx = two_d_rank(k_idx, k_star_idx)
-    return RankTable(
-        names=list(names),
-        pagerank=np.asarray(pagerank_values, dtype=np.float64),
-        cheirank=np.asarray(cheirank_values, dtype=np.float64),
-        pagerank_rank=k_idx.position,
-        cheirank_rank=k_star_idx.position,
-        rank2d=k2_idx.position,
-        meta=dict(meta or {}),
-    )
+    pagerank = np.asarray(pagerank_values, dtype=np.float64)
+    cheirank = np.asarray(cheirank_values, dtype=np.float64)
+    return _ranked_table(list(names), pagerank, cheirank, dict(meta or {}))
 
 
 def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
@@ -155,24 +156,11 @@ def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
     rows = np.asarray(subset.members, dtype=np.int64)
     if rows.max() >= len(table):
         raise ContractViolation("subset member outside the table")
-    k_idx = rank_indices(
-        table.pagerank[rows], kind="pagerank_rank", tie_key=table.pagerank_rank[rows]
-    )
-    k_star_idx = rank_indices(
-        table.cheirank[rows], kind="cheirank_rank", tie_key=table.cheirank_rank[rows]
-    )
-    k2_idx = two_d_rank(k_idx, k_star_idx)
     meta = dict(table.meta)
     meta.update(subset_label=subset.label, subset_size=len(subset))
-    return RankTable(
-        names=[table.names[i] for i in rows],
-        pagerank=table.pagerank[rows],
-        cheirank=table.cheirank[rows],
-        pagerank_rank=k_idx.position,
-        cheirank_rank=k_star_idx.position,
-        rank2d=k2_idx.position,
-        meta=meta,
-    )
+    names = [table.names[i] for i in rows]
+    ties = (table.pagerank_rank[rows], table.cheirank_rank[rows])
+    return _ranked_table(names, table.pagerank[rows], table.cheirank[rows], meta, ties)
 
 
 # ---- persistence -----------------------------------------------------------

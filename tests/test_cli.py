@@ -24,7 +24,7 @@ from rankplane import (
 )
 from rankplane import cli
 from rankplane.cli import main
-from rankplane.netstats import read_csv_series
+from rankplane.graph import read_series
 
 
 def run(*argv):
@@ -187,12 +187,18 @@ def test_non_convergence_exits_3(random_edges, tmp_path, capsys):
     assert "convergence" in capsys.readouterr().err
 
 
-def test_contract_violation_exits_4(random_edges, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stats", "density", "{table}", "-o", "{tmp}/g.csv", "--null-samples", 100),  # no --seed
+        ("stats", "density", "{table}", "-o", "{tmp}/g.csv", "--null-samples", 5, "--seed", -1),
+        ("stats", "fitcurve", "{table}", "-o", "{tmp}/f.csv", "--bins", -1),
+        ("synth", 100, "-o", "{tmp}/z.tsv", "--seed", -1),
+    ],
+)
+def test_contract_violation_exits_4(argv, random_edges, tmp_path, capsys):
     table = rank_table_for(random_edges, tmp_path)
-    code = run(
-        "stats", "density", table, "-o", tmp_path / "g.csv", "--null-samples", 100
-    )
-    assert code == 4  # --null-samples without --seed
+    assert run(*(str(a).format(table=table, tmp=tmp_path) for a in argv)) == 4
     assert "contract violation" in capsys.readouterr().err
 
 
@@ -267,7 +273,7 @@ def test_slice_output(random_edges, tmp_path):
     table = rank_table_for(random_edges, tmp_path)
     out = tmp_path / "slice.csv"
     assert run("stats", "slice", table, "-o", out, "--x0", 1.5, "--cells", 10) == 0
-    meta, cols = read_csv_series(out)
+    meta, cols = read_series(out)
     assert float(meta["x0"]) == 1.5
     assert len(cols["eta"]) == len(cols["density"]) > 0
     assert all(0.0 <= float(v) <= 1.0 for v in cols["density"])
@@ -277,7 +283,7 @@ def test_correlator_output(random_edges, tmp_path):
     table_path = rank_table_for(random_edges, tmp_path)
     out = tmp_path / "kappa.csv"
     assert run("stats", "correlator", table_path, "-o", out) == 0
-    _, cols = read_csv_series(out)
+    _, cols = read_series(out)
     table = read_rank_table(table_path)
     expected = len(table) * float(np.dot(table.pagerank, table.cheirank)) - 1.0
     assert float(cols["kappa"][0]) == expected
@@ -292,7 +298,7 @@ def test_fitcurve_output(random_edges, tmp_path):
         "--column", "cheirank", "--fit-range", "2:40", "--bins", 10,
     )
     assert code == 0
-    meta, cols = read_csv_series(out)
+    meta, cols = read_series(out)
     assert float(meta["exponent"]) > 0
     assert float(meta["fit_min"]) == 2.0 and float(meta["fit_max"]) == 40.0
     assert 3 <= len(cols["x"]) <= 10

@@ -30,8 +30,8 @@ from rankplane import (
     write_overlap_series,
     write_rank_table,
 )
+from rankplane.graph import read_series
 from rankplane.netstats import (
-    read_csv_series,
     write_correlator_points,
     write_eta_slice,
     write_power_law_fit,
@@ -277,10 +277,10 @@ def boundary_cases():
         "edge_list": (write_edge_list, g, load_edge_list),
         "rank_table": (write_rank_table, table, read_rank_table),
         "density_grid": (write_density_grid, grid, read_density_grid),
-        "eta_slice": (write_eta_slice, slice_density(grid, 0.5), read_csv_series),
+        "eta_slice": (write_eta_slice, slice_density(grid, 0.5), read_series),
         "power_law_fit": (write_power_law_fit, fit_power_law(x, x**-1.5, (1.0, 10.0), 4),
-                          read_csv_series),
-        "correlator_points": (write_correlator_points, [correlator(p, p_star)], read_csv_series),
+                          read_series),
+        "correlator_points": (write_correlator_points, [correlator(p, p_star)], read_series),
         "overlap_series": (
             write_overlap_series,
             window_overlap(ranked_list("abcd"), ranked_list("bacd"), window=2),
@@ -304,3 +304,24 @@ def test_writers_and_readers_share_one_text_boundary(kind, tmp_path):
     read(stream)
     assert not stream.closed
     read(str(path))
+
+
+@pytest.mark.parametrize(
+    "read, text, line_no",
+    [
+        (
+            read_density_grid,
+            "# n_ranks=4 n_samples=4 cells=x axis_max=1.0\ni,j,count,w,density_per_area\n"
+            "0,0,4,1.0,1.0\n",
+            None,
+        ),
+        (read_overlap_series, "# kind=window_fw window=two\nx,f\n10.0,0.5\n", None),
+        (read_overlap_series, "# kind=cumulative_f\nx,f\n1.0,zz\n", None),
+        (read_series, "a,b\n1\n", 2),
+    ],
+    ids=["grid_cells", "overlap_window", "overlap_value", "ragged_row"],
+)
+def test_malformed_series_files_are_parse_errors(read, text, line_no):
+    with pytest.raises(ParseError) as err:
+        read(io.StringIO(text))
+    assert err.value.line_no == line_no

@@ -29,9 +29,9 @@ from rankplane import (
     slice_density,
     write_density_grid,
 )
+from rankplane.graph import read_series
 from rankplane.netstats import (
     _mean_adjusted_pmf,
-    read_csv_series,
     write_correlator_points,
     write_eta_slice,
     write_power_law_fit,
@@ -480,7 +480,7 @@ def test_eta_slice_round_trip():
     buf = io.StringIO()
     write_eta_slice(sl, buf)
     buf.seek(0)
-    meta, cols = read_csv_series(buf)
+    meta, cols = read_series(buf)
     assert float(meta["x0"]) == sl.x0
     np.testing.assert_array_equal([float(v) for v in cols["eta"]], sl.eta)
     np.testing.assert_array_equal([float(v) for v in cols["density"]], sl.density)
@@ -492,7 +492,7 @@ def test_power_law_fit_round_trip():
     buf = io.StringIO()
     write_power_law_fit(fit, buf)
     buf.seek(0)
-    meta, cols = read_csv_series(buf)
+    meta, cols = read_series(buf)
     assert float(meta["exponent"]) == fit.exponent
     assert float(meta["fit_min"]) == 2.0 and float(meta["fit_max"]) == 300.0
     np.testing.assert_array_equal([float(v) for v in cols["x"]], fit.bin_x)
@@ -505,6 +505,6 @@ def test_correlator_points_round_trip():
     buf = io.StringIO()
     write_correlator_points(points, buf)
     buf.seek(0)
-    _, cols = read_csv_series(buf)
+    _, cols = read_series(buf)
     assert [float(v) for v in cols["kappa"]] == [pt.kappa for pt in points]
     assert [v == "1" for v in cols["converged"]] == [pt.converged for pt in points]
