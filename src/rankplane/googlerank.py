@@ -98,6 +98,8 @@ class GoogleOperator:
             raise ContractViolation(f"alpha must lie in (0, 1], got {alpha}")
         if workers < 1:
             raise ContractViolation(f"workers must be >= 1, got {workers}")
+        if g.n_nodes == 0:
+            raise ContractViolation("cannot rank a graph with no nodes")
         import scipy.sparse as sp
 
         self.alpha = alpha
@@ -105,16 +107,12 @@ class GoogleOperator:
         out_w = g.out_weight()
         self.dangling = np.flatnonzero(out_w == 0.0)
 
-        adj = g.adj
-        if adj.nnz:
-            row_of = np.repeat(np.arange(self.n), np.diff(adj.indptr))
-            data = adj.data.astype(np.float64) / out_w[row_of]
-            normalized = sp.csr_matrix(
-                (data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape
-            )
-            self.push = normalized.T.tocsr()
-        else:
-            self.push = sp.csr_matrix((self.n, self.n), dtype=np.float64)
+        # Entry (i, j) is A[j, i] / out_w[j], over the index arrays of A's
+        # shared transpose; the only new array is the float64 data.
+        at = invert(g).adj
+        data = out_w[at.indices]
+        np.divide(at.data, data, out=data)
+        self.push = sp.csr_matrix((data, at.indices, at.indptr), shape=at.shape)
 
         self.workers = min(workers, self.n, os.cpu_count() or 1)
         self._chunks: list[tuple[int, int, sp.csr_matrix]] = []
@@ -140,7 +138,8 @@ class GoogleOperator:
                 y[a:b] = fut.result()
             y *= self.alpha
         else:
-            y = self.alpha * (self.push @ v)
+            y = self.push @ v
+            y *= self.alpha
         dangling_mass = float(v[self.dangling].sum()) if len(self.dangling) else 0.0
         y += (self.alpha * dangling_mass + (1.0 - self.alpha)) / self.n
         return y
@@ -166,10 +165,12 @@ def _power_iteration(
     op = GoogleOperator(g, alpha, workers=workers)
     try:
         v = np.full(n, 1.0 / n)
+        diff = np.empty(n)
         residual = math.inf
         for iteration in range(1, max_iter + 1):
             nxt = op.apply(v)
-            residual = float(np.abs(nxt - v).sum())
+            np.subtract(nxt, v, out=diff)
+            residual = float(np.abs(diff, out=diff).sum())
             v = nxt
             if residual < tol:
                 v = v / np.sum(v)  # shed accumulated rounding drift

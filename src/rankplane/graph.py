@@ -67,6 +67,7 @@ class DirectedGraph:
         self.ingest = ingest
         self._name_index: dict[str, int] | None = None
         self._out_weight: np.ndarray | None = None
+        self._transpose: sp.csr_matrix | None = None  # invert(self).adj
 
     # ---- construction ----------------------------------------------------
 
@@ -170,12 +171,16 @@ class DirectedGraph:
 def invert(g: DirectedGraph) -> DirectedGraph:
     """Reverse every link: edge (i -> j, m) becomes (j -> i, m).
 
-    The node table is shared, so ranks computed on the result refer to the
-    same indices.  Involution: invert(invert(g)) is structurally equal to g.
+    The result shares g's node table and arrays: its adjacency is g's
+    transpose, built on first use and kept on g, and its own transpose is
+    g.adj, so invert(invert(g)).adj is g.adj and no second copy is made.
     """
-    adj = g.adj.T.tocsr()
-    adj.sort_indices()
-    return DirectedGraph(g.names, adj, ingest=None)
+    if g._transpose is None:
+        g._transpose = g.adj.T.tocsr()
+        g._transpose.sort_indices()
+    inverse = DirectedGraph(g.names, g._transpose, ingest=None)
+    inverse._transpose = g.adj
+    return inverse
 
 
 def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True) -> DegreeHistogram:
@@ -188,7 +193,7 @@ def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True)
     if direction not in ("in", "out"):
         raise ContractViolation(f"direction must be 'in' or 'out', got {direction!r}")
     if weighted:
-        degrees = (g.out_weight() if direction == "out" else g.in_weight()).astype(np.int64)
+        degrees = np.asarray(g.adj.sum(axis=1 if direction == "out" else 0, dtype=np.int64)).ravel()
     elif direction == "out":
         degrees = np.diff(g.adj.indptr).astype(np.int64)
     else:

@@ -8,9 +8,11 @@ with the iterative implementation under test.
 
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rankplane import (
     ContractViolation,
@@ -19,6 +21,7 @@ from rankplane import (
     GoogleOperator,
     RankVector,
     cheirank,
+    correlator_sweep,
     invert,
     load_edge_list,
     pagerank,
@@ -146,6 +149,84 @@ def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
         assert len(op._chunks) <= 2
     finally:
         op.close()
+
+
+def multigraph(seed, n=80, edges=400):
+    """Seeded multigraph: repeated pairs (multiplicities above 1), self-loops,
+    and a quarter of the nodes dangling."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 3 * n // 4, size=edges)
+    dst = rng.integers(0, n, size=edges)
+    mult = rng.integers(1, 4, size=edges)
+    return DirectedGraph.from_edges([f"v{i}" for i in range(n)], src, dst, mult)
+
+
+def reference_push(g):
+    """The push matrix as built before the transpose was shared: normalize
+    each row of the adjacency by its out-weight, then transpose."""
+    adj = g.adj
+    if not adj.nnz:
+        return sp.csr_matrix((g.n_nodes, g.n_nodes), dtype=np.float64)
+    row_of = np.repeat(np.arange(g.n_nodes), np.diff(adj.indptr))
+    data = adj.data.astype(np.float64) / g.out_weight()[row_of]
+    normalized = sp.csr_matrix((data, adj.indices.copy(), adj.indptr.copy()), shape=adj.shape)
+    return normalized.T.tocsr()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_push_matrix_is_bitwise_the_reference(monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    edgeless = DirectedGraph(["a", "b", "c"], sp.csr_matrix((3, 3), dtype=np.int64))
+    graphs = [multigraph(seed) for seed in range(4)]
+    for g in graphs:
+        assert g.self_loop_count() and g.adj.data.max() > 1 and (g.out_weight() == 0).any()
+    graphs.append(edgeless)
+    for g in graphs + [invert(g) for g in graphs]:
+        expected = reference_push(g)
+        op = GoogleOperator(g, 0.85, workers=workers)
+        try:
+            assert op.push.data.dtype == np.float64
+            assert op.push.data.tobytes() == expected.data.tobytes()
+            assert np.array_equal(op.push.indices, expected.indices)
+            assert np.array_equal(op.push.indptr, expected.indptr)
+        finally:
+            op.close()
+
+
+def test_pagerank_and_cheirank_operators_share_one_transpose():
+    g = multigraph(5)
+    assert invert(invert(g)).adj is g.adj
+    assert invert(g).adj is invert(g).adj
+    op = GoogleOperator(invert(g), 0.85)
+    assert np.shares_memory(op.push.indices, g.adj.indices)
+    assert np.shares_memory(op.push.indptr, g.adj.indptr)
+    op = GoogleOperator(g, 0.85)
+    assert np.shares_memory(op.push.indices, invert(g).adj.indices)
+
+
+def test_operator_build_allocates_one_float_array_per_nonzero():
+    g = multigraph(9, n=5000, edges=60000)
+    invert(g)  # the transpose and the out-weights are kept on the graph
+    g.out_weight()
+    nnz, n = g.adj.nnz, g.n_nodes
+    tracemalloc.start()
+    try:
+        GoogleOperator(g, 0.85)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * nnz + 32 * n, f"{peak / nnz:.1f} bytes per nonzero"
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [pagerank, cheirank, lambda g: correlator_sweep(g, [0.85])],
+    ids=["pagerank", "cheirank", "correlator_sweep"],
+)
+def test_graph_with_no_nodes_is_a_contract_violation(solve):
+    g = DirectedGraph([], sp.csr_matrix((0, 0), dtype=np.int64))
+    with pytest.raises(ContractViolation):
+        solve(g)
 
 
 def test_apply_google_matches_dense_operator():

@@ -219,6 +219,12 @@ def test_degree_distribution_in_direction():
     assert d.counts == {0: 1, 3: 1, 2: 1}
 
 
+def test_weighted_degree_distribution_is_exact_above_2_to_the_53():
+    g = load("a\tb\t9007199254740993\n")
+    assert degree_distribution(g, "out").counts == {0: 1, 9007199254740993: 1}
+    assert degree_distribution(g, "in").counts == {0: 1, 9007199254740993: 1}
+
+
 def test_degree_distribution_bad_direction():
     g = load("a\tb\n")
     with pytest.raises(ValueError):
