@@ -193,11 +193,12 @@ def cmd_stats_slice(args: argparse.Namespace) -> int:
 
 def cmd_stats_correlator(args: argparse.Namespace) -> int:
     table = read_rank_table(args.table)
-    point = CorrelatorPoint(
-        kappa=kappa(table.pagerank, table.cheirank),
-        alpha=float(table.meta.get("alpha", DEFAULT_ALPHA)),
-        alpha_star=float(table.meta.get("alpha_star", DEFAULT_ALPHA)),
-    )
+    try:
+        alpha = float(table.meta.get("alpha", DEFAULT_ALPHA))
+        alpha_star = float(table.meta.get("alpha_star", DEFAULT_ALPHA))
+    except ValueError as exc:
+        raise ParseError(f"bad damping factor in the table header: {exc}") from None
+    point = CorrelatorPoint(kappa(table.pagerank, table.cheirank), alpha, alpha_star)
     write_correlator_points([point], args.output)
     print(f"kappa={point.kappa!r} -> {args.output}")
     return EXIT_OK

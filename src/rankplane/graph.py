@@ -89,6 +89,10 @@ class DirectedGraph:
         mult = np.asarray(mult, dtype=np.int64)
         if mult.size and np.any(mult <= 0):
             raise ContractViolation("every edge multiplicity must be >= 1")
+        # Merged int64 multiplicities cannot wrap once the total fits.  A float64
+        # total below 2**62 is too far from the bound to hide one above it.
+        if mult.sum(dtype=np.float64) >= 2.0**62 and sum(mult.tolist()) > _MAX_MULTIPLICITY:
+            raise ContractViolation("the total edge weight exceeds 2**63 - 1")
         adj = sp.coo_matrix(
             (mult, (np.asarray(src), np.asarray(dst))), shape=(n, n)
         ).tocsr()
@@ -256,38 +260,98 @@ def read_header(line: str) -> dict[str, str]:
 
 
 def write_series(
-    columns: Mapping[str, list], target: str | Path | IO[str], meta: Mapping | None = None
+    columns: Mapping, target: str | Path | IO[str], meta: Mapping | None = None, sep: str = ","
 ) -> None:
-    """A series CSV: an optional '# key=value' line with each value as its text,
-    the column names, then one row per point with every value written by repr."""
+    """A column file: an optional '# key=value' line with each value as its
+    text, the column names, then one sep-separated row per point with every
+    value written by str (a NumPy column a block at a time, through tolist)."""
     with open_text(target, "w") as out:
         if meta:
             out.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        out.write(",".join(columns) + "\n")
+        out.write(sep.join(columns) + "\n")
         for rows in row_blocks(min(map(len, columns.values()))):
-            fields = (map(repr, column[rows]) for column in columns.values())
-            out.write(tsv_block(rows.stop - rows.start, *fields, sep=","))
+            blocks = (column[rows] for column in columns.values())
+            fields = (map(str, b.tolist() if isinstance(b, np.ndarray) else b) for b in blocks)
+            out.write(tsv_block(rows.stop - rows.start, *fields, sep=sep))
 
 
-def read_series(source: str | Path | IO[str]) -> tuple[dict[str, str], dict[str, list[str]]]:
-    """The header values and the columns of a series CSV, every value a string.
-    Blank lines are skipped; a row with the wrong field count is a ParseError."""
+# Column types: "U" text (a list of str), "d" float64, "q" int64 (NumPy arrays).
+# NumPy converts str to these exactly as float() and int() do, accepting and
+# rejecting the same odd forms (tests/test_text_blocks.py checks them).
+_PARSERS = {"U": str, "d": float, "q": int}
+
+
+def read_series(
+    source: str | Path | IO[str], types: Mapping[str, str] | None = None, sep: str = ","
+) -> tuple[dict[str, str], dict]:
+    """The header values and the columns of a column file.
+
+    Before the column line, '#' lines are header lines of key=value pairs,
+    every value a string; after it, every line that is not blank is a row of
+    sep-separated fields.  With types (column -> type code) the column line
+    must name exactly those columns and each converts to its type; without,
+    every column is text.  A missing or wrong column line, a row with the
+    wrong field count or a value that does not convert is a ParseError.
+    """
     meta: dict[str, str] = {}
-    columns: dict[str, list[str]] = {}
+    columns: dict | None = None
     with open_text(source) as stream:
         for first_line_no, lines in line_blocks(stream):
+            if columns is not None and _bulk_columns(lines, columns, types, sep):
+                continue
             for line_no, raw in enumerate(lines, start=first_line_no):
                 line = raw.rstrip("\n")
-                if line.startswith(COMMENT_CHAR):
+                if not line:
+                    continue
+                if columns is None and line.startswith(COMMENT_CHAR):
                     meta.update(read_header(line))
-                elif line and not columns:
-                    columns = {name: [] for name in line.split(",")}
-                elif line:
-                    if len(fields := line.split(",")) != len(columns):
-                        raise ParseError(f"expected {len(columns)} fields", line_no)
-                    for column, value in zip(columns.values(), fields):
-                        column.append(value)
-    return meta, columns
+                    continue
+                fields = line.split(sep)
+                if columns is None:
+                    if types is None:
+                        types = dict.fromkeys(fields, "U")
+                    elif fields != list(types):
+                        raise ParseError(f"expected the columns {','.join(types)}", line_no)
+                    columns = {k: [] if code == "U" else array(code) for k, code in types.items()}
+                    continue
+                if len(fields) != len(columns):
+                    raise ParseError(f"expected {len(columns)} fields", line_no)
+                try:
+                    for column, code, text in zip(columns.values(), types.values(), fields):
+                        column.append(_PARSERS[code](text))
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(f"bad value: {exc}", line_no) from None
+    if columns is None:
+        if types is not None:
+            raise ParseError(f"missing the column line {','.join(types)}")
+        return meta, {}
+    return meta, {k: v if isinstance(v, list) else np.array(v) for k, v in columns.items()}
+
+
+def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep: str) -> bool:
+    """Append a block of plain rows to the columns in one pass.
+
+    Returns False, having changed nothing, when any line needs the per-line
+    parser: a blank line, a line starting with '#', a wrong field count or a
+    value that does not convert.
+    """
+    tokens = split_block(lines, len(columns), sep)
+    if tokens is None:
+        return False
+    width = len(columns) + 1
+    try:
+        blocks = [
+            tokens[j:-1:width] if code == "U" else np.array(tokens[j:-1:width], dtype=code)
+            for j, code in enumerate(types.values())
+        ]
+    except (ValueError, OverflowError):
+        return False
+    for column, block in zip(columns.values(), blocks):
+        if isinstance(block, list):
+            column.extend(block)
+        else:
+            column.frombytes(block.tobytes())
+    return True
 
 
 def line_blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
@@ -313,10 +377,10 @@ def name_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
                 yield line_no, name
 
 
-def split_block(lines: list[str], n_fields: int) -> list[str] | None:
+def split_block(lines: list[str], n_fields: int, sep: str = "\t") -> list[str] | None:
     """All fields of a block of lines, each row followed by a "\n" token.
 
-    None unless every line has exactly n_fields tab-separated fields, ends
+    None unless every line has exactly n_fields sep-separated fields, ends
     in "\n" and does not start with the comment character; such blocks
     need a per-line parser.
     """
@@ -324,7 +388,7 @@ def split_block(lines: list[str], n_fields: int) -> list[str] | None:
     if text.startswith(COMMENT_CHAR) or "\n" + COMMENT_CHAR in text:
         return None
     n = len(lines)
-    tokens = text.replace("\n", "\t\n\t").split("\t")
+    tokens = text.replace("\n", f"{sep}\n{sep}").split(sep)
     # Each line yields exactly one "\n" token, so finding all n of them at the
     # n row-closing positions proves that every line has n_fields fields.
     width = n_fields + 1

@@ -466,7 +466,7 @@ def generate_scale_free(
 
 # ---- persistence -----------------------------------------------------------
 
-_GRID_COLUMNS = ("i", "j", "count", "w", "density_per_area")
+_GRID_TYPES = {"i": "q", "j": "q", "count": "q", "w": "d", "density_per_area": "d"}
 
 
 def write_density_grid(grid: DensityGrid, target: str | Path | IO[str]) -> None:
@@ -476,26 +476,23 @@ def write_density_grid(grid: DensityGrid, target: str | Path | IO[str]) -> None:
     meta = dict(
         n_ranks=grid.n_ranks, n_samples=grid.n_samples, cells=grid.cells, axis_max=grid.axis_max
     )
-    write_series({k: v.ravel().tolist() for k, v in zip(_GRID_COLUMNS, values)}, target, meta)
+    write_series({k: v.ravel() for k, v in zip(_GRID_TYPES, values)}, target, meta)
 
 
 def read_density_grid(source: str | Path | IO[str]) -> DensityGrid:
-    meta, columns = read_series(source)
-    if tuple(columns) != _GRID_COLUMNS:
-        raise ParseError(f"expected the columns {','.join(_GRID_COLUMNS)}")
+    meta, columns = read_series(source, _GRID_TYPES)
     try:
         cells, n_ranks, n_samples = (int(meta[k]) for k in ("cells", "n_ranks", "n_samples"))
-        i, j, count = (np.array(columns[k], dtype=np.int64) for k in _GRID_COLUMNS[:3])
         counts = np.zeros(cells * cells, dtype=np.int64)
-        counts[np.ravel_multi_index((i, j), (cells, cells))] = count
+        cell = np.ravel_multi_index((columns["i"], columns["j"]), (cells, cells))
+        counts[cell] = columns["count"]
     except (KeyError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad or missing density grid value: {exc}") from None
     return DensityGrid(counts.reshape(cells, cells), n_ranks, n_samples)
 
 
 def write_eta_slice(sl: EtaSlice, target: str | Path | IO[str]) -> None:
-    columns = {"eta": sl.eta.tolist(), "density": sl.density.tolist()}
-    write_series(columns, target, {"x0": float(sl.x0)})
+    write_series({"eta": sl.eta, "density": sl.density}, target, {"x0": float(sl.x0)})
 
 
 def write_power_law_fit(fit: PowerLawFit, target: str | Path | IO[str]) -> None:
@@ -504,7 +501,7 @@ def write_power_law_fit(fit: PowerLawFit, target: str | Path | IO[str]) -> None:
     meta = dict(
         exponent=fit.exponent, stderr=fit.stderr, r_squared=fit.r_squared, fit_min=lo, fit_max=hi
     )
-    write_series({"x": fit.bin_x.tolist(), "y": fit.bin_y.tolist()}, target, meta)
+    write_series({"x": fit.bin_x, "y": fit.bin_y}, target, meta)
 
 
 def write_correlator_points(

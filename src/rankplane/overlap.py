@@ -162,15 +162,13 @@ def write_overlap_series(series: OverlapSeries, target: str | Path | IO[str]) ->
 
 
 def read_overlap_series(source: str | Path | IO[str]) -> OverlapSeries:
-    meta, columns = read_series(source)
+    meta, columns = read_series(source, {"x": "d", "f": "d"})
     kind = meta.get("kind", "")
     if kind not in SERIES_KINDS:
         raise ParseError(f"missing or unknown series kind {kind!r}")
-    if list(columns) != ["x", "f"]:
-        raise ParseError("expected the columns x,f")
     try:
         window = int(meta["window"]) if "window" in meta else None
-        points = tuple(zip(map(float, columns["x"]), map(float, columns["f"])))
     except ValueError as exc:
         raise ParseError(f"bad overlap series value: {exc}") from None
+    points = tuple(zip(columns["x"].tolist(), columns["f"].tolist()))
     return OverlapSeries(kind=kind, points=points, window=window)

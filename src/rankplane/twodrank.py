@@ -12,7 +12,6 @@ entry.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping
@@ -20,17 +19,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .graph import (
-    NodeSubset,
-    line_blocks,
-    open_text,
-    read_header,
-    row_blocks,
-    split_block,
-    tsv_block,
-)
-
-_TABLE_COLUMNS = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d")
+from .graph import NodeSubset, read_series, write_series
 
 
 @dataclass(frozen=True)
@@ -165,115 +154,26 @@ def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
 
 # ---- persistence -----------------------------------------------------------
 
+# The rank table is a tab-separated column file (graph.write_series).
+_TABLE_TYPES = dict(
+    name="U", pagerank="d", pagerank_rank="q", cheirank="d", cheirank_rank="q", rank2d="q"
+)
+
 
 def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
-    """TSV rows sorted by pagerank rank; '#' header lines carry the metadata."""
+    """Rows sorted by pagerank rank; the '#' header line carries the metadata,
+    each value written by repr."""
     order = np.argsort(table.pagerank_rank)
-    with open_text(target, "w") as out:
-        if table.meta:
-            pairs = " ".join(f"{k}={table.meta[k]!r}" for k in sorted(table.meta))
-            out.write(f"# {pairs}\n")
-        out.write("\t".join(_TABLE_COLUMNS) + "\n")
-        for rows in row_blocks(len(order)):
-            i = order[rows]
-            out.write(
-                tsv_block(
-                    len(i),
-                    map(table.names.__getitem__, i.tolist()),
-                    map(repr, table.pagerank[i].tolist()),
-                    map(str, table.pagerank_rank[i].tolist()),
-                    map(repr, table.cheirank[i].tolist()),
-                    map(str, table.cheirank_rank[i].tolist()),
-                    map(str, table.rank2d[i].tolist()),
-                )
-            )
-
-
-# File column j + 1 parses with _ROW_PARSERS[j] into an array of that type
-# code, which is also the code of the NumPy dtype ("d" float64, "q" int64).
-# NumPy's conversion of str to these dtypes accepts and rejects exactly what
-# float() and int() do; tests/test_text_blocks.py checks the odd forms.
-_ROW_PARSERS = ((float, "d"), (int, "q"), (float, "d"), (int, "q"), (int, "q"))
-
-
-def _bulk_rows(lines: list[str], names: list[str], columns: list[array]) -> bool:
-    """Parse a block of plain table rows in one pass.
-
-    Returns False, having changed nothing, when any line needs the per-line
-    parser: a comment, a blank line, a wrong column count or a value the
-    column's parser rejects.
-    """
-    tokens = split_block(lines, len(_TABLE_COLUMNS))
-    if tokens is None:
-        return False
-    width = len(_TABLE_COLUMNS) + 1
-    try:
-        values = [
-            np.array(tokens[j::width], dtype=code)
-            for j, (_, code) in enumerate(_ROW_PARSERS, start=1)
-        ]
-    except (ValueError, OverflowError):
-        return False
-    names.extend(tokens[0:-1:width])
-    for column, block in zip(columns, values):
-        column.frombytes(block.tobytes())
-    return True
-
-
-def _parse_table_lines(
-    lines: list[str],
-    first_line_no: int,
-    saw_header: bool,
-    meta: dict,
-    names: list[str],
-    columns: list[array],
-) -> bool:
-    """Parse table lines one at a time; returns whether the column header has been seen."""
-    for line_no, raw in enumerate(lines, start=first_line_no):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            meta.update(read_header(line))
-            continue
-        fields = line.split("\t")
-        if not saw_header:
-            if tuple(fields) != _TABLE_COLUMNS:
-                raise ParseError(
-                    f"expected column header {_TABLE_COLUMNS}, got {fields}", line_no
-                )
-            saw_header = True
-            continue
-        if len(fields) != len(_TABLE_COLUMNS):
-            raise ParseError(f"expected {len(_TABLE_COLUMNS)} columns", line_no)
-        names.append(fields[0])
-        try:
-            for column, (parse, _), text in zip(columns, _ROW_PARSERS, fields[1:]):
-                column.append(parse(text))
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"bad number: {exc}", line_no) from None
-    return saw_header
+    names = list(map(table.names.__getitem__, order.tolist()))
+    columns = {k: names if k == "name" else getattr(table, k)[order] for k in _TABLE_TYPES}
+    meta = {k: repr(table.meta[k]) for k in sorted(table.meta)}
+    write_series(columns, target, meta, sep="\t")
 
 
 def read_rank_table(source: str | Path | IO[str]) -> RankTable:
     """Parse a table written by write_rank_table (rows keep file order)."""
-    meta: dict = {}
-    names: list[str] = []
-    columns = [array(code) for _, code in _ROW_PARSERS]
-    saw_header = False
-    with open_text(source) as stream:
-        for line_no, lines in line_blocks(stream):
-            if not (saw_header and _bulk_rows(lines, names, columns)):
-                saw_header = _parse_table_lines(lines, line_no, saw_header, meta, names, columns)
+    meta, columns = read_series(source, _TABLE_TYPES, sep="\t")
+    names = columns.pop("name")
     if not names:
         raise ParseError("empty rank table file")
-    pagerank, pagerank_rank, cheirank, cheirank_rank, rank2d = map(np.array, columns)
-    return RankTable(
-        names=names,
-        pagerank=pagerank,
-        pagerank_rank=pagerank_rank,
-        cheirank=cheirank,
-        cheirank_rank=cheirank_rank,
-        rank2d=rank2d,
-        meta=meta,
-    )
+    return RankTable(names=names, meta=meta, **columns)

@@ -6,6 +6,7 @@ wall-clock checks, memory with the process's peak RSS.
 """
 
 import filecmp
+import hashlib
 import itertools
 import math
 import resource
@@ -336,6 +337,35 @@ def test_criterion_7_determinism(tmp_path, monkeypatch):
         f"\nPASS: criterion 7 — {len(match)} pipeline files byte-identical across "
         f"reruns; 1-worker vs 8-worker L1 = {l1:.1e}"
     )
+
+
+# sha256 of every file run_pipeline writes.  A change that alters output bytes
+# on purpose updates these digests and says why.
+PIPELINE_DIGESTS = {
+    "by_k.txt": "e0a8f1a60eafead8923f9e6494aaaa77534cfbe713a126fcfb6c40dcc5b5f238",
+    "by_kstar.txt": "c05bec8982f424cbe34f0e480cc0380b39fd5d182c27ec38830db5df73ae5616",
+    "curve.csv": "f60286e311f850ab01d278e49b95d41c0d16e047d574de65bb463c704b346f68",
+    "edges.tsv": "1a9a6b3cda62012ab22a0b4ed19ac946d8da55bf4f28da150b02fc8b1fe2cef4",
+    "fit.csv": "5af47b35b64183052143d0fd142361336bdb83102d20efe8c5e6e5cda7454fb1",
+    "grid.csv": "335b9e535db43d7953482cbb8bb61620adcdb5528e3ea3e2d27af661494867ff",
+    "grid.csv.null.csv": "0aee87c58ac17bb163ef65e68bb8b557c297efc2dc2f8da9b3303e66436e1f18",
+    "kappa.csv": "6a1768ea81e7df12c61c8e86cc210fa1c772e5977145744f479b086e8069fb5b",
+    "marked.txt": "106d3ca051d9d41b9e93f64ed279ea46fd4eeda1043bc5246163f2f0562e37be",
+    "slice.csv": "0aff3e85268e05135456250f8d6cfc27f5da43387359a1f616592925a6c96447",
+    "subtable.tsv": "871199656ce2b4bfcd9a225d1b29cb39afc029cca729bdc927c076d8f184ad7e",
+    "subwin.csv": "414b7d60997e12ba3f8b1d83f64cd260e4eafa1ad776d37e6aaffa0ecf83890b",
+    "table.tsv": "00e9e6f298c846aebd86d8deab681976017e7a830ec9d3a9b0e30ae11b8acda5",
+    "table.tsv.manifest.json": "548cbd3445f09ac8e7b896ada93eae25cea2d7e14b9c0ff19f8976df4feb1b19",
+    "window.csv": "2a2a9fffa6259370833d62a618aa438bfb197224199ddb64df9c887ae80c5346",
+}
+
+
+def test_pipeline_outputs_match_recorded_digests(tmp_path, monkeypatch):
+    run_pipeline(tmp_path, monkeypatch)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+    }
+    assert digests == PIPELINE_DIGESTS
 
 
 # ---- criterion 8: scale ---------------------------------------------------------------

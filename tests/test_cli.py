@@ -202,6 +202,23 @@ def test_contract_violation_exits_4(argv, random_edges, tmp_path, capsys):
     assert "contract violation" in capsys.readouterr().err
 
 
+def test_total_edge_weight_beyond_int64_exits_4(tmp_path, capsys):
+    edges = tmp_path / "heavy.tsv"
+    edges.write_text(f"a\tb\t{2**63 - 1}\na\tb\t1\n")
+    assert run("rank", edges, "-o", tmp_path / "t.tsv") == 4
+    assert "total edge weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["alpha", "alpha_star"])
+def test_bad_damping_factor_in_table_header_exits_2(key, random_edges, tmp_path, capsys):
+    table = rank_table_for(random_edges, tmp_path)
+    text = table.read_text()
+    assert f" {key}=0.85 " in text
+    table.write_text(text.replace(f" {key}=0.85 ", f" {key}=abc ", 1))
+    assert run("stats", "correlator", table, "-o", tmp_path / "k.csv") == 2
+    assert "abc" in capsys.readouterr().err
+
+
 def test_nan_tolerance_exits_4(random_edges, tmp_path, capsys):
     assert run("rank", random_edges, "-o", tmp_path / "t.tsv", "--tol", "nan") == 4
     assert "tol must be positive" in capsys.readouterr().err
@@ -288,6 +305,23 @@ def test_correlator_output(random_edges, tmp_path):
     expected = len(table) * float(np.dot(table.pagerank, table.cheirank)) - 1.0
     assert float(cols["kappa"][0]) == expected
     assert float(cols["alpha"][0]) == 0.85
+
+
+def test_node_named_with_a_leading_hash_is_a_table_row(tmp_path):
+    """Only lines before the column line are header lines, so the node '#b'
+    reads back and the table's κ is the one rank reported."""
+    edges = tmp_path / "hash.tsv"
+    edges.write_text("a\t#b\nb\ta\n#b\tb\na\tb\n")
+    table_path = rank_table_for(edges, tmp_path)
+    manifest = json.loads((tmp_path / "table.tsv.manifest.json").read_text())
+    out = tmp_path / "kappa.csv"
+    assert run("stats", "correlator", table_path, "-o", out) == 0
+    _, cols = read_series(out)
+    assert float(cols["kappa"][0]) == pytest.approx(manifest["kappa"], abs=1e-12)
+    table = read_rank_table(table_path)
+    assert sorted(table.names) == ["#b", "a", "b"]
+    for column in ("pagerank_rank", "cheirank_rank", "rank2d"):
+        assert sorted(getattr(table, column).tolist()) == [1, 2, 3]
 
 
 def test_fitcurve_output(random_edges, tmp_path):

@@ -322,12 +322,36 @@ def test_writers_and_readers_share_one_text_boundary(kind, tmp_path):
             None,
         ),
         (read_overlap_series, "# kind=window_fw window=two\nx,f\n10.0,0.5\n", None),
-        (read_overlap_series, "# kind=cumulative_f\nx,f\n1.0,zz\n", None),
+        (read_overlap_series, "# kind=cumulative_f\nx,f\n1.0,zz\n", 3),
+        (read_overlap_series, "# kind=cumulative_f\nx,g\n1.0,0.5\n", 2),
         (read_series, "a,b\n1\n", 2),
     ],
-    ids=["grid_cells", "overlap_window", "overlap_value", "ragged_row"],
+    ids=["grid_cells", "overlap_window", "overlap_value", "overlap_columns", "ragged_row"],
 )
 def test_malformed_series_files_are_parse_errors(read, text, line_no):
     with pytest.raises(ParseError) as err:
         read(io.StringIO(text))
     assert err.value.line_no == line_no
+
+
+MAX_WEIGHT = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"a\tb\t{MAX_WEIGHT}\na\tb\t1\n",
+        f"a\tb\t{MAX_WEIGHT}\n" * 3,
+        f"a\tb\t{MAX_WEIGHT}\nb\ta\t{MAX_WEIGHT}\n",
+    ],
+    ids=["merged_pair", "three_merged", "two_edges"],
+)
+def test_total_edge_weight_beyond_int64_is_a_contract_violation(text):
+    with pytest.raises(ContractViolation, match="total edge weight"):
+        load(text)
+
+
+def test_total_edge_weight_of_exactly_int64_max_loads():
+    g = load(f"a\tb\t{MAX_WEIGHT - 1}\nb\ta\t1\n")
+    assert g.total_edge_weight == MAX_WEIGHT
+    assert g.adj.data.tolist() == [MAX_WEIGHT - 1, 1]

@@ -508,3 +508,14 @@ def test_correlator_points_round_trip():
     _, cols = read_series(buf)
     assert [float(v) for v in cols["kappa"]] == [pt.kappa for pt in points]
     assert [v == "1" for v in cols["converged"]] == [pt.converged for pt in points]
+
+
+def test_correlator_points_with_numpy_alphas_round_trip():
+    g = random_graph(np.random.default_rng(41), n=15)
+    points = correlator_sweep(g, np.array([0.5, 0.85]))
+    buf = io.StringIO()
+    write_correlator_points(points, buf)
+    buf.seek(0)
+    _, cols = read_series(buf)
+    assert cols["alpha"] == cols["alpha_star"] == ["0.5", "0.85"]
+    assert [float(v) for v in cols["kappa"]] == [pt.kappa for pt in points]

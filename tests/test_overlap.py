@@ -1,5 +1,7 @@
 """Top-k overlap and subset window statistics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from rankplane import (
     window_overlap,
     write_overlap_series,
 )
+from rankplane import graph
 
 
 def names(n, prefix="v"):
@@ -241,14 +244,18 @@ def test_ranked_list_file_rejects_empty(tmp_path):
         load_ranked_list(path)
 
 
-def test_overlap_series_round_trip(tmp_path):
+def test_overlap_series_round_trip(tmp_path, monkeypatch):
     a = RankedList(names(64))
     b = RankedList(names(64)[32:] + names(64)[:32])
-    for series in (
-        overlap_curve(a, b, 64),
-        window_overlap(a, b, window=8),
-        subset_window_fraction(a, subset_of(["v5", "v45"]), window=8),
+    for block_chars, series in itertools.product(
+        (16, 1 << 16),  # 16: a line or two per block, so rows take the block path
+        (
+            overlap_curve(a, b, 64),
+            window_overlap(a, b, window=8),
+            subset_window_fraction(a, subset_of(["v5", "v45"]), window=8),
+        ),
     ):
+        monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
         path = tmp_path / f"{series.kind}.csv"
         write_overlap_series(series, path)
         back = read_overlap_series(path)

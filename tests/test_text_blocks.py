@@ -3,9 +3,11 @@
 The edge-list loader and the rank-table reader parse blocks of lines in one
 pass and hand any block they cannot prove clean to a per-line parser; the
 writers format blocks of rows at once.  The references below are the
-line-at-a-time implementations these replaced, kept verbatim.  The block
-sizes are drawn small, so block boundaries fall everywhere: between clean
-and odd lines, inside runs of comments, next to the file's last line.
+line-at-a-time implementations these replaced, kept verbatim but for one
+rule: a rank-table line starting with '#' is a header line only before the
+column line, and a row after it.  The block sizes are drawn small, so block
+boundaries fall everywhere: between clean and odd lines, inside runs of
+comments, next to the file's last line.
 """
 
 import io
@@ -108,7 +110,7 @@ def reference_read_rank_table(source) -> RankTable:
         line = raw.rstrip("\n")
         if not line:
             continue
-        if line.startswith("#"):
+        if line.startswith("#") and not saw_header:
             for token in line[1:].split():
                 if "=" in token:
                     key, _, val = token.partition("=")
@@ -336,16 +338,17 @@ def test_bulk_table_columns_convert_like_float_and_int(text, column):
     column's own float() or int(), and to the same value."""
     fields = ["a", "0.5", "1", "0.5", "1", "1"]
     fields[column] = text
-    parse, code = twodrank._ROW_PARSERS[column - 1]
+    types = twodrank._TABLE_TYPES
+    name, code = list(types.items())[column]
     try:
-        expected = parse(text)
+        expected = {"d": float, "q": int}[code](text)
         accepted = code == "d" or -(2**63) <= expected < 2**63
     except ValueError:
         accepted = False
-    names, columns = [], [array(c) for _, c in twodrank._ROW_PARSERS]
-    assert twodrank._bulk_rows(["\t".join(fields) + "\n"], names, columns) == accepted
+    columns = {k: [] if c == "U" else array(c) for k, c in types.items()}
+    assert graph._bulk_columns(["\t".join(fields) + "\n"], columns, types, "\t") == accepted
     if accepted:
-        got = columns[column - 1][0]
+        got = columns[name][0]
         assert np.array([got], dtype=code).tobytes() == np.array([expected], dtype=code).tobytes()
 
 
