@@ -109,34 +109,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
         g, alpha_star=args.alpha_star, tol=args.tol, max_iter=args.max_iter, workers=args.workers
     )
     point = correlator(p, p_star)
-    table = build_rank_table(
-        g.names,
-        p.values,
-        p_star.values,
-        meta={
-            "graph_hash": g.content_hash(),
-            "alpha": args.alpha,
-            "alpha_star": args.alpha_star,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "n_nodes": g.n_nodes,
-        },
-    )
-    write_rank_table(table, args.output)
+    params = {k: getattr(args, k) for k in ("alpha", "alpha_star", "tol", "max_iter")}
+    meta = {"graph_hash": g.content_hash(), "n_nodes": g.n_nodes, **params}
+    write_rank_table(build_rank_table(g.names, p.values, p_star.values, meta), args.output)
 
     manifest = {
         "command": "rank",
-        # rank uses no grid, window or seed; the keys keep the manifest's layout.
-        "config": {
-            "alpha": args.alpha,
-            "alpha_star": args.alpha_star,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "grid_cells": DEFAULT_GRID_CELLS,
-            "window": DEFAULT_WINDOW,
-            "seed": None,
-            "workers": args.workers,
-        },
+        "config": {**params, "workers": args.workers},
         "input": {
             "path": str(args.edges),
             "sha256": _sha256(args.edges),
@@ -172,8 +151,8 @@ def cmd_stats_density(args: argparse.Namespace) -> int:
     if args.null_samples:
         if args.seed is None:
             raise ContractViolation("--null-samples requires --seed")
-        p_curve = np.sort(table.pagerank)[::-1]
-        p_star_curve = np.sort(table.cheirank)[::-1]
+        _, p_curve = rank_curve(table.pagerank)
+        _, p_star_curve = rank_curve(table.cheirank)
         ks, k_stars = sample_independent(p_curve, p_star_curve, args.null_samples, args.seed)
         null_grid = grid_from_rank_pairs(ks, k_stars, n_ranks=len(table), cells=args.cells)
         null_path = args.null_output or f"{args.output}.null.csv"

@@ -58,13 +58,13 @@ class DirectedGraph:
     normalization like any other edge.
     """
 
-    def __init__(self, names: list[str], adj: sp.csr_matrix, ingest: IngestStats | None = None):
+    def __init__(self, names: list[str], adj: sp.csr_matrix):
         n = len(names)
         if adj.shape != (n, n):
             raise ContractViolation(f"adjacency shape {adj.shape} does not match {n} names")
         self.names = names
         self.adj = adj
-        self.ingest = ingest
+        self.ingest: IngestStats | None = None  # set by load_edge_list
         self._name_index: dict[str, int] | None = None
         self._out_weight: np.ndarray | None = None
         self._transpose: sp.csr_matrix | None = None  # invert(self).adj
@@ -73,12 +73,7 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(
-        cls,
-        names: list[str],
-        src: np.ndarray,
-        dst: np.ndarray,
-        mult: np.ndarray,
-        ingest: IngestStats | None = None,
+        cls, names: list[str], src: np.ndarray, dst: np.ndarray, mult: np.ndarray
     ) -> "DirectedGraph":
         """Build the canonical CSR from parallel edge arrays (duplicates merged)."""
         # Imported here, the one place a sparse matrix is built, so that the
@@ -98,7 +93,7 @@ class DirectedGraph:
         ).tocsr()
         adj.sum_duplicates()
         adj.sort_indices()
-        return cls(names, adj, ingest)
+        return cls(names, adj)
 
     # ---- basic queries ---------------------------------------------------
 
@@ -182,7 +177,7 @@ def invert(g: DirectedGraph) -> DirectedGraph:
     if g._transpose is None:
         g._transpose = g.adj.T.tocsr()
         g._transpose.sort_indices()
-    inverse = DirectedGraph(g.names, g._transpose, ingest=None)
+    inverse = DirectedGraph(g.names, g._transpose)
     inverse._transpose = g.adj
     return inverse
 
@@ -229,6 +224,8 @@ _MAX_MULTIPLICITY = 2**63 - 1
 _BULK_MAX_DIGITS = 18
 
 
+# Header value texts that write_series quotes; read_header reads the rest bare.
+_QUOTED = re.compile(r"\s|\A['\"]")
 _HEADER_PAIR = re.compile(r"""([^\s=]*)=(?:('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")(?!\S)|(\S*))""")
 
 
@@ -248,7 +245,7 @@ def read_header(line: str) -> dict[str, str]:
 
     A quoted value (a string literal, as repr writes it) is read whole,
     spaces included, and unquoted; any other value runs to the next
-    whitespace.
+    whitespace.  So each value reads back as the text write_series gave it.
     """
     meta: dict[str, str] = {}
     for key, quoted, text in _HEADER_PAIR.findall(line, 1):
@@ -262,12 +259,16 @@ def read_header(line: str) -> dict[str, str]:
 def write_series(
     columns: Mapping, target: str | Path | IO[str], meta: Mapping | None = None, sep: str = ","
 ) -> None:
-    """A column file: an optional '# key=value' line with each value as its
-    text, the column names, then one sep-separated row per point with every
-    value written by str (a NumPy column a block at a time, through tolist)."""
+    """A column file: an optional '# key=value' line, the column names, then
+    one sep-separated row per point, every value written by str (a NumPy
+    column a block at a time, through tolist).  A header value whose str holds
+    whitespace or starts with a quote is quoted by repr, so read_header
+    returns every header value's str exactly."""
     with open_text(target, "w") as out:
         if meta:
-            out.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+            texts = zip(meta, map(str, meta.values()))
+            pairs = (f"{k}={repr(v) if _QUOTED.search(v) else v}" for k, v in texts)
+            out.write("# " + " ".join(pairs) + "\n")
         out.write(sep.join(columns) + "\n")
         for rows in row_blocks(min(map(len, columns.values()))):
             blocks = (column[rows] for column in columns.values())
@@ -519,9 +520,21 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
 
 
 def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
-    """Serialize in canonical CSR order; reloading reproduces the graph."""
+    """Serialize in canonical CSR order; reloading reproduces the graph.
+
+    Refused before anything is written: a name that is empty, padded or holds
+    a tab, CR or LF, and an edge source named '#…', whose line is a comment.
+    """
     names = g.names
     indptr, indices, data = g.adj.indptr, g.adj.indices, g.adj.data
+    text = "\n".join(names)  # the whole node table is checked at once
+    plain = "\t" not in text and "\r" not in text and text.count("\n") == len(names) - 1
+    if not (plain and all(names) and list(map(str.strip, names)) == names):
+        raise ContractViolation("a node name is empty, padded or holds a tab, CR or LF")
+    if "\n" + COMMENT_CHAR in "\n" + text:
+        for i in np.flatnonzero(np.diff(indptr)).tolist():
+            if names[i].startswith(COMMENT_CHAR):
+                raise ContractViolation(f"edge source {names[i]!r} would be a comment line")
     with open_text(target, "w") as out:
         out.write(f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n")
         for rows in row_blocks(g.adj.nnz):

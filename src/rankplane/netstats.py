@@ -154,14 +154,18 @@ class DensityGrid:
 
     def cell_of(self, rank: int) -> int:
         """Cell index along one axis for a 1-based rank."""
-        h = self.axis_max / self.cells
-        return min(int(math.log(rank) / h), self.cells - 1)
+        return int(_cell(math.log(rank), self.axis_max / self.cells, self.cells))
 
     def density_per_area(self) -> np.ndarray:
         """Differential density: count / (samples * linear-rank cell area)."""
         edges = np.exp(np.linspace(0.0, self.axis_max, self.cells + 1))
         widths = np.diff(edges)
         return self.counts / (self.n_samples * np.outer(widths, widths))
+
+
+def _cell(x, h: float, cells: int) -> np.ndarray:
+    """Cell of log-rank x on an axis of cells of width h, the last cell closed."""
+    return np.minimum((np.asarray(x) / h).astype(np.int64), cells - 1)
 
 
 def grid_from_rank_pairs(
@@ -179,8 +183,7 @@ def grid_from_rank_pairs(
     if k.min() < 1 or k_star.min() < 1 or k.max() > n_ranks or k_star.max() > n_ranks:
         raise ContractViolation(f"ranks must lie in [1, {n_ranks}]")
     h = math.log(n_ranks) / cells
-    ix = np.minimum((np.log(k) / h).astype(np.int64), cells - 1)
-    iy = np.minimum((np.log(k_star) / h).astype(np.int64), cells - 1)
+    ix, iy = _cell(np.log(k), h, cells), _cell(np.log(k_star), h, cells)
     flat = np.bincount(ix * cells + iy, minlength=cells * cells)
     return DensityGrid(
         counts=flat.reshape(cells, cells), n_ranks=n_ranks, n_samples=len(k)
@@ -218,7 +221,7 @@ def slice_density(grid: DensityGrid, x0: float) -> EtaSlice:
     h = L / grid.cells
 
     if half_span == 0.0:
-        cell = grid.cells - 1 if x0 == L else 0
+        cell = _cell(x0, h, grid.cells)
         return EtaSlice(x0=x0, eta=np.zeros(1), density=np.array([w[cell, cell]]))
 
     boundaries = np.arange(grid.cells + 1) * h
@@ -227,8 +230,8 @@ def slice_density(grid: DensityGrid, x0: float) -> EtaSlice:
     stops = np.unique(np.concatenate([[-half_span], crossings, [half_span]]))
     mids = (stops[:-1] + stops[1:]) / 2.0
 
-    ix = np.minimum(((x0 + mids / 2.0) / h).astype(np.int64), grid.cells - 1)
-    iy = np.minimum(((x0 - mids / 2.0) / h).astype(np.int64), grid.cells - 1)
+    ix = _cell(x0 + mids / 2.0, h, grid.cells)
+    iy = _cell(x0 - mids / 2.0, h, grid.cells)
     return EtaSlice(x0=x0, eta=mids, density=w[ix, iy])
 
 

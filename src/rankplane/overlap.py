@@ -137,10 +137,7 @@ def subset_window_fraction(
     """
     if len(s.names) == 0:
         raise ContractViolation("subset is empty")
-    if window < 1 or window > len(ranking):
-        raise ContractViolation(
-            f"window {window} invalid for a list of {len(ranking)} names"
-        )
+    _check_depth(ranking, ranking, window, "window")
     members = set(s.names)
     missing = members - set(ranking.names)
     if missing:

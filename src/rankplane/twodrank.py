@@ -162,11 +162,11 @@ _TABLE_TYPES = dict(
 
 def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
     """Rows sorted by pagerank rank; the '#' header line carries the metadata,
-    each value written by repr."""
+    sorted by key."""
     order = np.argsort(table.pagerank_rank)
     names = list(map(table.names.__getitem__, order.tolist()))
     columns = {k: names if k == "name" else getattr(table, k)[order] for k in _TABLE_TYPES}
-    meta = {k: repr(table.meta[k]) for k in sorted(table.meta)}
+    meta = {k: table.meta[k] for k in sorted(table.meta)}
     write_series(columns, target, meta, sep="\t")
 
 

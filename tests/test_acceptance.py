@@ -352,10 +352,10 @@ PIPELINE_DIGESTS = {
     "kappa.csv": "6a1768ea81e7df12c61c8e86cc210fa1c772e5977145744f479b086e8069fb5b",
     "marked.txt": "106d3ca051d9d41b9e93f64ed279ea46fd4eeda1043bc5246163f2f0562e37be",
     "slice.csv": "0aff3e85268e05135456250f8d6cfc27f5da43387359a1f616592925a6c96447",
-    "subtable.tsv": "871199656ce2b4bfcd9a225d1b29cb39afc029cca729bdc927c076d8f184ad7e",
+    "subtable.tsv": "5c91d7dbf58316e7210cb5be68254691e4c1ca5d75f7d4a21ce9f0fa4fb40a8e",
     "subwin.csv": "414b7d60997e12ba3f8b1d83f64cd260e4eafa1ad776d37e6aaffa0ecf83890b",
-    "table.tsv": "00e9e6f298c846aebd86d8deab681976017e7a830ec9d3a9b0e30ae11b8acda5",
-    "table.tsv.manifest.json": "548cbd3445f09ac8e7b896ada93eae25cea2d7e14b9c0ff19f8976df4feb1b19",
+    "table.tsv": "050f3941d6eac6c842abef7c4747a30d2d49c394a0569e059363a964a8b4e9b1",
+    "table.tsv.manifest.json": "b537638148200b39636a4a182e3391f035c3c9f485305780466edd7b90a8aa71",
     "window.csv": "2a2a9fffa6259370833d62a618aa438bfb197224199ddb64df9c887ae80c5346",
 }
 

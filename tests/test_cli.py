@@ -409,6 +409,36 @@ def test_subset_command_preserves_relative_order(random_edges, tmp_path):
     assert by_sub_rank == sorted(members, key=parent_order.__getitem__)
 
 
+def test_subset_of_a_subset_keeps_the_rank_header_verbatim(random_edges, tmp_path):
+    table_path = rank_table_for(random_edges, tmp_path)
+    names = read_rank_table(table_path).names
+    sub, subsub = tmp_path / "sub.tsv", tmp_path / "subsub.tsv"
+    members = write_list(tmp_path / "members.txt", names[:20])
+    assert run("subset", table_path, members, "-o", sub, "--label", "my group") == 0
+    assert run("subset", sub, write_list(tmp_path / "inner.txt", names[:10]), "-o", subsub) == 0
+
+    def header(path):
+        return path.read_text().splitlines()[0].split()[1:]
+
+    graph_hash = read_rank_table(table_path).meta["graph_hash"]
+    rank_header = [
+        "alpha=0.85", "alpha_star=0.85", f"graph_hash={graph_hash}",
+        "max_iter=1000", "n_nodes=50", "tol=1e-10",
+    ]
+    assert header(table_path) == rank_header
+    assert header(sub) == rank_header[:5] + [
+        "subset_label='my", "group'", "subset_size=20", "tol=1e-10"
+    ]
+    assert header(subsub) == rank_header[:5] + [
+        "subset_label=inner", "subset_size=10", "tol=1e-10"
+    ]
+    assert read_rank_table(sub).meta["subset_label"] == "my group"
+    manifest = json.loads((tmp_path / "table.tsv.manifest.json").read_text())
+    assert manifest["config"] == {
+        "alpha": 0.85, "alpha_star": 0.85, "tol": 1e-10, "max_iter": 1000, "workers": 1
+    }
+
+
 def test_subset_command_strict_vs_lenient(random_edges, tmp_path, capsys):
     table_path = rank_table_for(random_edges, tmp_path)
     subset_file = write_list(tmp_path / "members.txt", ["v01", "v02", "ghost"])

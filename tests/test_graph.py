@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankplane import (
     ContractViolation,
@@ -30,7 +32,7 @@ from rankplane import (
     write_overlap_series,
     write_rank_table,
 )
-from rankplane.graph import read_series
+from rankplane.graph import read_series, write_series
 from rankplane.netstats import (
     write_correlator_points,
     write_eta_slice,
@@ -146,6 +148,32 @@ def test_round_trip_random_graph(tmp_path):
     path = tmp_path / "r.tsv"
     write_edge_list(g, path)
     assert load_edge_list(path).same_structure(g)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["", "b"], [" a", "b"], ["a", "b "], ["a", "b\tc"], ["a", "b\rc"], ["a", "b\nc"]],
+    ids=["empty", "leading_space", "trailing_space", "tab", "cr", "lf"],
+)
+def test_edge_list_writer_refuses_names_the_loader_would_change(names, tmp_path):
+    g = DirectedGraph.from_edges(names, [0], [1], [1])
+    path = tmp_path / "edges.tsv"
+    with pytest.raises(ContractViolation):
+        write_edge_list(g, path)
+    assert not path.exists()
+
+
+def test_edge_list_writer_refuses_a_source_read_back_as_a_comment():
+    g = load("a\t#b\nc\t#b\t2\na\tc\n")
+    buf = io.StringIO()
+    write_edge_list(g, buf)  # '#b' only as a target is a plain field
+    assert load(buf.getvalue()).same_structure(g)
+    buf = io.StringIO()
+    with pytest.raises(ContractViolation, match="'#b'"):
+        write_edge_list(invert(g), buf)
+    assert buf.getvalue() == ""
+    lone = DirectedGraph.from_edges(["#b", "a"], [1], [1], [1])  # '#b' has no out-edge
+    write_edge_list(lone, io.StringIO())
 
 
 def test_structural_equality_ignores_renumbering(tmp_path):
@@ -355,3 +383,16 @@ def test_total_edge_weight_of_exactly_int64_max_loads():
     g = load(f"a\tb\t{MAX_WEIGHT - 1}\nb\ta\t1\n")
     assert g.total_edge_weight == MAX_WEIGHT
     assert g.adj.data.tolist() == [MAX_WEIGHT - 1, 1]
+
+
+HEADER_KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(meta=st.dictionaries(HEADER_KEYS, st.one_of(st.text(), st.floats(), st.integers())))
+def test_header_values_read_back_as_their_text(meta):
+    buf = io.StringIO()
+    write_series({"x": [1]}, buf, meta)
+    back, columns = read_series(io.StringIO(buf.getvalue(), newline=None))
+    assert back == {k: str(v) for k, v in meta.items()}
+    assert columns == {"x": ["1"]}

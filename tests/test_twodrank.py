@@ -177,6 +177,13 @@ def test_header_values_with_spaces_and_quotes_read_back_whole(label):
     assert back.meta == {"alpha": "0.85", "subset_label": label, "subset_size": "2"}
 
 
+def test_numpy_scalar_header_values_are_written_as_numbers():
+    t = build_rank_table(["a"], [1.0], [1.0], meta={"alpha": np.float64(0.85), "n": np.int64(1)})
+    buf = io.StringIO()
+    write_rank_table(t, buf)
+    assert buf.getvalue().splitlines()[0] == "# alpha=0.85 n=1"
+
+
 def test_read_rank_table_rejects_bad_header():
     with pytest.raises(ParseError):
         read_rank_table(io.StringIO("name\tpagerank\n"))
