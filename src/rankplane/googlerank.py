@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,6 +45,8 @@ class RankVector:
     """Converged probability vector over nodes, summing to one.
 
     kind is "pagerank" (forward links) or "cheirank" (inverted links).
+    sweep holds the vectors of the smaller damping factors solved alongside
+    this one (pagerank's `sweep`), keyed by damping factor.
     """
 
     kind: str
@@ -51,6 +54,7 @@ class RankVector:
     alpha: float
     iterations: int
     residual: float
+    sweep: dict[float, RankVector] = field(default_factory=dict)
 
     def __post_init__(self):
         total = math.fsum(self.values.tolist())
@@ -156,26 +160,52 @@ def _power_iteration(
     max_iter: int,
     workers: int,
     kind: str,
+    sweep: Sequence[float] = (),
 ) -> RankVector:
+    """Power iteration at alpha from the uniform vector, and at each beta in
+    sweep (a "rider") from the same iterates.
+
+    The step x_k - x_{k-1} at alpha is alpha^k times a vector that does not
+    depend on the damping factor (Boldi, Santini & Vigna, "PageRank as a
+    function of the damping factor", 2005).  So the iterates at beta < alpha
+    are y_k = y_{k-1} + (beta/alpha)^k (x_k - x_{k-1}), with step residual
+    (beta/alpha)^k times alpha's: each rider is beta's own power iteration,
+    one vector update per step, and stops no later than alpha does.
+    """
     if not tol > 0.0:
         raise ContractViolation(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
+    for beta in sweep:
+        if not 0.0 < beta < alpha:
+            raise ContractViolation(f"sweep values must lie in (0, {alpha}), got {beta}")
     n = g.n_nodes
     op = GoogleOperator(g, alpha, workers=workers)
     try:
         v = np.full(n, 1.0 / n)
         diff = np.empty(n)
+        riders = {float(beta): v.copy() for beta in sweep}  # the unfinished ones
+        scaled = np.empty(n) if riders else None
+        solved: dict[float, RankVector] = {}
         residual = math.inf
         for iteration in range(1, max_iter + 1):
             nxt = op.apply(v)
             np.subtract(nxt, v, out=diff)
+            scales = [(beta / alpha) ** iteration for beta in riders]
+            for y, scale in zip(riders.values(), scales):
+                y += np.multiply(diff, scale, out=scaled)
             residual = float(np.abs(diff, out=diff).sum())
             v = nxt
+            for (beta, y), scale in zip(list(riders.items()), scales):
+                if scale * residual < tol:
+                    del riders[beta]
+                    y /= np.sum(y)
+                    solved[beta] = RankVector(kind, y, beta, iteration, scale * residual)
             if residual < tol:
                 v = v / np.sum(v)  # shed accumulated rounding drift
                 return RankVector(
-                    kind=kind, values=v, alpha=alpha, iterations=iteration, residual=residual
+                    kind=kind, values=v, alpha=alpha, iterations=iteration, residual=residual,
+                    sweep=dict(sorted(solved.items())),
                 )
         raise ConvergenceError(
             f"{kind} did not reach tol={tol} after {max_iter} iterations "
@@ -194,9 +224,15 @@ def pagerank(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
+    *,
+    sweep: Sequence[float] = (),
 ) -> RankVector:
-    """Stationary probability of the damped random surfer on g."""
-    return _power_iteration(g, alpha, tol, max_iter, workers, kind="pagerank")
+    """Stationary probability of the damped random surfer on g.
+
+    Each damping factor in sweep, all in (0, alpha), is solved from the same
+    iterations (see _power_iteration); its vector is in the result's sweep.
+    """
+    return _power_iteration(g, alpha, tol, max_iter, workers, kind="pagerank", sweep=sweep)
 
 
 def cheirank(

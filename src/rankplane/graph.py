@@ -226,6 +226,8 @@ _BULK_MAX_DIGITS = 18
 
 # Header value texts that write_series quotes; read_header reads the rest bare.
 _QUOTED = re.compile(r"\s|\A['\"]")
+# The header keys write_series accepts: any other reads back as another key.
+_HEADER_KEY = re.compile(r"[^\s=]+")
 _HEADER_PAIR = re.compile(r"""([^\s=]*)=(?:('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")(?!\S)|(\S*))""")
 
 
@@ -263,7 +265,12 @@ def write_series(
     one sep-separated row per point, every value written by str (a NumPy
     column a block at a time, through tolist).  A header value whose str holds
     whitespace or starts with a quote is quoted by repr, so read_header
-    returns every header value's str exactly."""
+    returns every header value's str exactly.  A header key that is empty or
+    holds whitespace or '=' would read back as another key, and is refused
+    before anything is written."""
+    for key in meta or ():
+        if not _HEADER_KEY.fullmatch(str(key)):
+            raise ContractViolation(f"header key {key!r} is empty or holds whitespace or '='")
     with open_text(target, "w") as out:
         if meta:
             texts = zip(meta, map(str, meta.values()))
@@ -519,6 +526,16 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     return g
 
 
+def joined_fields(names: list[str]) -> str:
+    """The names joined by LF, checked all at once: a name holding a tab, CR
+    or LF, which would not read back as one field of one line, is a
+    ContractViolation."""
+    text = "\n".join(names)
+    if "\t" in text or "\r" in text or text.count("\n") != max(len(names) - 1, 0):
+        raise ContractViolation("a node name holds a tab, CR or LF")
+    return text
+
+
 def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
     """Serialize in canonical CSR order; reloading reproduces the graph.
 
@@ -527,10 +544,9 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
     """
     names = g.names
     indptr, indices, data = g.adj.indptr, g.adj.indices, g.adj.data
-    text = "\n".join(names)  # the whole node table is checked at once
-    plain = "\t" not in text and "\r" not in text and text.count("\n") == len(names) - 1
-    if not (plain and all(names) and list(map(str.strip, names)) == names):
-        raise ContractViolation("a node name is empty, padded or holds a tab, CR or LF")
+    text = joined_fields(names)
+    if not (names and all(names) and list(map(str.strip, names)) == names):
+        raise ContractViolation("no node, or a node name that is empty or padded")
     if "\n" + COMMENT_CHAR in "\n" + text:
         for i in np.flatnonzero(np.diff(indptr)).tolist():
             if names[i].startswith(COMMENT_CHAR):

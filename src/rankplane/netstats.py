@@ -75,12 +75,14 @@ def correlator_sweep(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[CorrelatorPoint]:
-    """Correlator over a damping sweep, one freshly converged pair per point.
+    """Correlator over a damping sweep.
 
     Modes: "diagonal" walks alpha = alpha_star over `alphas`; "fix_alpha"
     holds alphas[0] and walks `alpha_stars`; "fix_alpha_star" holds
-    alpha_stars[0] and walks `alphas`.  Points where either solve fails to
-    converge are kept in the output, flagged converged=False with NaN kappa.
+    alpha_stars[0] and walks `alphas`.  Each direction is one power
+    iteration (`_solve_all`), so the sweep builds two operators.  Points
+    where either solve fails to converge are kept in the output, flagged
+    converged=False with NaN kappa.
     """
     if mode == "diagonal":
         pairs = [(a, a) for a in alphas]
@@ -100,27 +102,39 @@ def correlator_sweep(
                 f"sweep damping values must lie strictly inside (0, 1), got ({a}, {s})"
             )
 
-    g_inv = invert(g)
-    forward: dict[float, RankVector | None] = {}
-    backward: dict[float, RankVector | None] = {}
+    forward = _solve_all(g, [a for a, _ in pairs], tol, max_iter)
+    backward = _solve_all(invert(g), [s for _, s in pairs], tol, max_iter)
     points: list[CorrelatorPoint] = []
     for a, s in pairs:
-        if a not in forward:
-            try:
-                forward[a] = pagerank(g, alpha=a, tol=tol, max_iter=max_iter)
-            except ConvergenceError:
-                forward[a] = None
-        if s not in backward:
-            try:
-                backward[s] = pagerank(g_inv, alpha=s, tol=tol, max_iter=max_iter)
-            except ConvergenceError:
-                backward[s] = None
         p, p_star = forward[a], backward[s]
         if p is None or p_star is None:
             points.append(CorrelatorPoint(math.nan, a, s, converged=False))
         else:
             points.append(CorrelatorPoint(kappa(p.values, p_star.values), a, s))
     return points
+
+
+def _solve_all(
+    g: DirectedGraph, alphas: Sequence[float], tol: float, max_iter: int
+) -> dict[float, RankVector | None]:
+    """PageRank of g at every alpha, None where it does not converge.
+
+    The largest alpha drives one power iteration and the others ride on it
+    (pagerank's `sweep`).  When the driver does not converge, it is marked
+    None and the next largest alpha drives the rest again.
+    """
+    pending = sorted(set(alphas), reverse=True)
+    solved: dict[float, RankVector | None] = {}
+    for i, driver in enumerate(pending):
+        try:
+            rv = pagerank(g, alpha=driver, tol=tol, max_iter=max_iter, sweep=pending[i + 1 :])
+        except ConvergenceError:
+            solved[driver] = None
+            continue
+        solved[driver] = rv
+        solved.update(rv.sweep)
+        break
+    return solved
 
 
 # ---- density grid in the (ln K, ln K*) plane --------------------------------

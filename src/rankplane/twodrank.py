@@ -19,7 +19,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset, read_series, write_series
+from .graph import NodeSubset, joined_fields, read_series, write_series
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,9 @@ _TABLE_TYPES = dict(
 
 def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
     """Rows sorted by pagerank rank; the '#' header line carries the metadata,
-    sorted by key."""
+    sorted by key.  A name holding a tab, CR or LF is refused before anything
+    is written."""
+    joined_fields(table.names)
     order = np.argsort(table.pagerank_rank)
     names = list(map(table.names.__getitem__, order.tolist()))
     columns = {k: names if k == "name" else getattr(table, k)[order] for k in _TABLE_TYPES}

@@ -7,6 +7,7 @@ with the iterative implementation under test.
 """
 
 import io
+import math
 import os
 import tracemalloc
 
@@ -276,3 +277,67 @@ def test_rank_vector_contract():
         RankVector("pagerank", np.array([1.0, 0.0]), 0.85, 1, 0.0)  # zero entry
     # zero entries are admissible only in the undamped limit
     RankVector("pagerank", np.array([1.0, 0.0]), 1.0, 1, 0.0)
+
+
+# ---- riders: smaller damping factors solved from the same iterations -----------
+
+SWEEP = (0.3, 0.5, 0.7, 0.8, 0.85)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("direction", ["forward", "inverted"])
+def test_each_rider_is_its_own_power_iteration(seed, direction):
+    g = multigraph(seed)
+    assert g.self_loop_count() and g.adj.data.max() > 1 and (g.out_weight() == 0).any()
+    if direction == "inverted":
+        g = invert(g)
+    driven = pagerank(g, alpha=0.9, sweep=SWEEP)
+    assert list(driven.sweep) == list(SWEEP)
+    for beta, rider in driven.sweep.items():
+        alone = pagerank(g, alpha=beta)
+        assert (rider.kind, rider.alpha, rider.sweep) == ("pagerank", beta, {})
+        assert rider.iterations == alone.iterations <= driven.iterations
+        assert rider.residual < 1e-10
+        assert np.abs(rider.values - alone.values).sum() <= 1e-13
+
+
+def test_riders_leave_the_driver_bitwise_unchanged():
+    g = multigraph(7)
+    alone = pagerank(g, alpha=0.85)
+    assert alone.sweep == {}
+    for sweep in [(), (0.2, 0.6)]:
+        driven = pagerank(g, 0.85, sweep=sweep)
+        assert driven.values.tobytes() == alone.values.tobytes()
+        assert (driven.iterations, driven.residual) == (alone.iterations, alone.residual)
+
+
+@pytest.mark.parametrize("beta", [0.85, 0.9, 0.0, -0.1, float("nan")])
+def test_sweep_values_outside_zero_to_alpha_are_refused(beta):
+    with pytest.raises(ContractViolation):
+        pagerank(multigraph(0), alpha=0.85, sweep=(0.5, beta))
+
+
+def test_correlator_sweep_builds_one_operator_per_direction(monkeypatch):
+    built = []
+    init = GoogleOperator.__init__
+
+    def counting_init(self, g, alpha, workers=1):
+        built.append(alpha)
+        init(self, g, alpha, workers)
+
+    monkeypatch.setattr(GoogleOperator, "__init__", counting_init)
+    points = correlator_sweep(multigraph(2), [0.5, 0.6, 0.7, 0.8, 0.85, 0.9])
+    assert all(pt.converged for pt in points)
+    assert built == [0.9, 0.9]
+
+
+def test_a_smaller_alpha_converges_when_the_driver_runs_out_of_steps():
+    g = multigraph(3)
+    small, large = pagerank(g, alpha=0.5), pagerank(g, alpha=0.95)
+    assert small.iterations < large.iterations
+    points = correlator_sweep(g, [0.5, 0.95], max_iter=small.iterations)
+    assert [pt.converged for pt in points] == [True, False]
+    assert math.isnan(points[1].kappa)
+    p_star = pagerank(invert(g), alpha=0.5)
+    expected = g.n_nodes * float(np.dot(small.values, p_star.values)) - 1.0
+    assert points[0].kappa == pytest.approx(expected, abs=1e-12)

@@ -396,3 +396,11 @@ def test_header_values_read_back_as_their_text(meta):
     back, columns = read_series(io.StringIO(buf.getvalue(), newline=None))
     assert back == {k: str(v) for k, v in meta.items()}
     assert columns == {"x": ["1"]}
+
+
+@pytest.mark.parametrize("key", ["", "a b", "a\tb", "a\nb", "k=v", "="])
+def test_series_writer_refuses_a_header_key_that_reads_back_as_another(key, tmp_path):
+    path = tmp_path / "s.csv"
+    with pytest.raises(ContractViolation):
+        write_series({"x": [1]}, path, {"ok": 1, key: 2})
+    assert not path.exists()

@@ -184,6 +184,15 @@ def test_numpy_scalar_header_values_are_written_as_numbers():
     assert buf.getvalue().splitlines()[0] == "# alpha=0.85 n=1"
 
 
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+def test_table_writer_refuses_a_name_that_breaks_its_line(name, tmp_path):
+    t = build_rank_table([name, "c"], [0.6, 0.4], [0.5, 0.5])
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ContractViolation):
+        write_rank_table(t, path)
+    assert not path.exists()
+
+
 def test_read_rank_table_rejects_bad_header():
     with pytest.raises(ParseError):
         read_rank_table(io.StringIO("name\tpagerank\n"))
