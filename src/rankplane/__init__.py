@@ -12,6 +12,11 @@ import importlib
 
 __version__ = "0.1.0"
 
+# The solver defaults, here so that the command-line parser loads no NumPy.
+DEFAULT_ALPHA = 0.85
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 1000
+
 # The module that defines each public name.  A name is imported from its
 # module on first use, so `import rankplane` loads no module, and NumPy and
 # SciPy load only when something needs them.
@@ -24,14 +29,10 @@ _EXPORTS = {
     "IngestStats": "graph",
     "NodeSubset": "graph",
     "SubsetReport": "graph",
-    "degree_distribution": "graph",
     "invert": "graph",
     "load_edge_list": "graph",
     "load_node_subset": "graph",
     "write_edge_list": "graph",
-    "DEFAULT_ALPHA": "googlerank",
-    "DEFAULT_MAX_ITER": "googlerank",
-    "DEFAULT_TOL": "googlerank",
     "GoogleOperator": "googlerank",
     "RankVector": "googlerank",
     "cheirank": "googlerank",
@@ -54,9 +55,7 @@ _EXPORTS = {
     "fit_power_law": "netstats",
     "generate_scale_free": "netstats",
     "grid_from_rank_pairs": "netstats",
-    "histogram_curve": "netstats",
     "kappa": "netstats",
-    "power_law_pmf": "netstats",
     "rank_curve": "netstats",
     "read_density_grid": "netstats",
     "sample_independent": "netstats",
@@ -66,15 +65,13 @@ _EXPORTS = {
     "RankedList": "overlap",
     "load_ranked_list": "overlap",
     "overlap_curve": "overlap",
-    "overlap_fraction": "overlap",
-    "ranked_list": "overlap",
     "read_overlap_series": "overlap",
     "subset_window_fraction": "overlap",
     "window_overlap": "overlap",
     "write_overlap_series": "overlap",
 }
 
-__all__ = list(_EXPORTS)
+__all__ = ["DEFAULT_ALPHA", "DEFAULT_MAX_ITER", "DEFAULT_TOL", *_EXPORTS]
 
 
 def __getattr__(name: str):

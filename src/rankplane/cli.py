@@ -25,35 +25,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from . import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
-from .googlerank import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, cheirank, pagerank
-from .graph import load_edge_list, load_node_subset, write_edge_list
-from .netstats import (
-    CorrelatorPoint,
-    correlator,
-    density_grid,
-    fit_power_law,
-    generate_scale_free,
-    grid_from_rank_pairs,
-    kappa,
-    rank_curve,
-    sample_independent,
-    slice_density,
-    write_correlator_points,
-    write_density_grid,
-    write_eta_slice,
-    write_power_law_fit,
-)
-from .overlap import (
-    load_ranked_list,
-    overlap_curve,
-    subset_window_fraction,
-    window_overlap,
-    write_overlap_series,
-)
-from .twodrank import build_rank_table, read_rank_table, subset_rank, write_rank_table
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,17 +57,20 @@ def _fit_range(text: str) -> tuple[float, float]:
 
 
 # ---- commands ---------------------------------------------------------------
+# Each imports only the modules it runs: `overlap curve` and `overlap window`
+# start without NumPy, the commands that read tables without SciPy.
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    g = generate_scale_free(
+    from . import graph, netstats
+    g = netstats.generate_scale_free(
         n=args.n,
         mu_in=args.mu_in,
         mu_out=args.mu_out,
         mean_degree=args.mean_degree,
         seed=args.seed,
     )
-    write_edge_list(g, args.output)
+    graph.write_edge_list(g, args.output)
     print(
         f"generated {g.n_nodes} nodes, {g.n_edges} distinct edges "
         f"(total weight {g.total_edge_weight}) -> {args.output}"
@@ -103,15 +79,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    g = load_edge_list(args.edges)
-    p = pagerank(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter, workers=args.workers)
-    p_star = cheirank(
-        g, alpha_star=args.alpha_star, tol=args.tol, max_iter=args.max_iter, workers=args.workers
-    )
-    point = correlator(p, p_star)
+    from . import googlerank, graph, netstats, twodrank
+    g = graph.load_edge_list(args.edges)
+    solve = dict(tol=args.tol, max_iter=args.max_iter, workers=args.workers)
+    p = googlerank.pagerank(g, alpha=args.alpha, **solve)
+    p_star = googlerank.cheirank(g, alpha_star=args.alpha_star, **solve)
+    point = netstats.correlator(p, p_star)
     params = {k: getattr(args, k) for k in ("alpha", "alpha_star", "tol", "max_iter")}
     meta = {"graph_hash": g.content_hash(), "n_nodes": g.n_nodes, **params}
-    write_rank_table(build_rank_table(g.names, p.values, p_star.values, meta), args.output)
+    table = twodrank.build_rank_table(g.names, p.values, p_star.values, meta)
+    twodrank.write_rank_table(table, args.output)
 
     manifest = {
         "command": "rank",
@@ -123,7 +100,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             "n_nodes": g.n_nodes,
             "n_edges": g.n_edges,
             "total_edge_weight": g.total_edge_weight,
-            "dangling_nodes": int(np.count_nonzero(g.out_weight() == 0)),
+            "dangling_nodes": int((g.out_weight() == 0).sum()),
         },
         "solves": {
             "pagerank": {"iterations": p.iterations, "residual": p.residual},
@@ -144,51 +121,57 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_stats_density(args: argparse.Namespace) -> int:
-    table = read_rank_table(args.table)
-    grid = density_grid(table, cells=args.cells)
-    write_density_grid(grid, args.output)
+    from . import netstats, twodrank
+    table = twodrank.read_rank_table(args.table)
+    grid = netstats.density_grid(table, cells=args.cells)
+    netstats.write_density_grid(grid, args.output)
     print(f"density grid {grid.cells}x{grid.cells} over {grid.n_samples} nodes -> {args.output}")
     if args.null_samples:
         if args.seed is None:
             raise ContractViolation("--null-samples requires --seed")
-        _, p_curve = rank_curve(table.pagerank)
-        _, p_star_curve = rank_curve(table.cheirank)
-        ks, k_stars = sample_independent(p_curve, p_star_curve, args.null_samples, args.seed)
-        null_grid = grid_from_rank_pairs(ks, k_stars, n_ranks=len(table), cells=args.cells)
+        _, p_curve = netstats.rank_curve(table.pagerank)
+        _, p_star_curve = netstats.rank_curve(table.cheirank)
+        n = args.null_samples
+        ks, k_stars = netstats.sample_independent(p_curve, p_star_curve, n, args.seed)
+        null_grid = netstats.grid_from_rank_pairs(ks, k_stars, n_ranks=len(table), cells=args.cells)
         null_path = args.null_output or f"{args.output}.null.csv"
-        write_density_grid(null_grid, null_path)
-        print(f"null-model grid from {args.null_samples} independent pairs -> {null_path}")
+        netstats.write_density_grid(null_grid, null_path)
+        print(f"null-model grid from {n} independent pairs -> {null_path}")
     return EXIT_OK
 
 
 def cmd_stats_slice(args: argparse.Namespace) -> int:
-    table = read_rank_table(args.table)
-    grid = density_grid(table, cells=args.cells)
-    sl = slice_density(grid, args.x0)
-    write_eta_slice(sl, args.output)
+    from . import netstats, twodrank
+    table = twodrank.read_rank_table(args.table)
+    grid = netstats.density_grid(table, cells=args.cells)
+    sl = netstats.slice_density(grid, args.x0)
+    netstats.write_eta_slice(sl, args.output)
     print(f"diagonal profile at x0={args.x0} ({len(sl.eta)} points) -> {args.output}")
     return EXIT_OK
 
 
 def cmd_stats_correlator(args: argparse.Namespace) -> int:
-    table = read_rank_table(args.table)
+    from . import netstats, twodrank
+    table = twodrank.read_rank_table(args.table)
     try:
         alpha = float(table.meta.get("alpha", DEFAULT_ALPHA))
         alpha_star = float(table.meta.get("alpha_star", DEFAULT_ALPHA))
     except ValueError as exc:
         raise ParseError(f"bad damping factor in the table header: {exc}") from None
-    point = CorrelatorPoint(kappa(table.pagerank, table.cheirank), alpha, alpha_star)
-    write_correlator_points([point], args.output)
+    k = netstats.kappa(table.pagerank, table.cheirank)
+    point = netstats.CorrelatorPoint(k, alpha, alpha_star)
+    netstats.write_correlator_points([point], args.output)
     print(f"kappa={point.kappa!r} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_stats_fitcurve(args: argparse.Namespace) -> int:
-    table = read_rank_table(args.table)
-    x, y = rank_curve(getattr(table, args.column))
+    from . import netstats, twodrank
+    table = twodrank.read_rank_table(args.table)
+    x, y = netstats.rank_curve(getattr(table, args.column))
     fit_range = args.fit_range or (1.0, float(len(table)))
-    fit = fit_power_law(x, y, fit_range, num_bins=args.bins)
-    write_power_law_fit(fit, args.output)
+    fit = netstats.fit_power_law(x, y, fit_range, num_bins=args.bins)
+    netstats.write_power_law_fit(fit, args.output)
     print(
         f"{args.column} rank curve ~ K^-{fit.exponent:.4f} "
         f"(stderr {fit.stderr:.4f}, R^2 {fit.r_squared:.4f}) -> {args.output}"
@@ -197,32 +180,35 @@ def cmd_stats_fitcurve(args: argparse.Namespace) -> int:
 
 
 def cmd_overlap_curve(args: argparse.Namespace) -> int:
-    a = load_ranked_list(args.list_a)
-    b = load_ranked_list(args.list_b)
+    from . import overlap
+    a = overlap.load_ranked_list(args.list_a)
+    b = overlap.load_ranked_list(args.list_b)
     ks_max = args.ks_max or min(len(a), len(b))
-    series = overlap_curve(a, b, ks_max)
-    write_overlap_series(series, args.output)
+    series = overlap.overlap_curve(a, b, ks_max)
+    overlap.write_overlap_series(series, args.output)
     print(f"overlap curve to ks={ks_max} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_overlap_window(args: argparse.Namespace) -> int:
-    a = load_ranked_list(args.list_a)
-    b = load_ranked_list(args.list_b)
-    series = window_overlap(a, b, window=args.window)
-    write_overlap_series(series, args.output)
+    from . import overlap
+    a = overlap.load_ranked_list(args.list_a)
+    b = overlap.load_ranked_list(args.list_b)
+    series = overlap.window_overlap(a, b, window=args.window)
+    overlap.write_overlap_series(series, args.output)
     print(f"{len(series.points)} windows of {args.window} -> {args.output}")
     return EXIT_OK
 
 
 def cmd_overlap_subset_window(args: argparse.Namespace) -> int:
-    ranking = load_ranked_list(args.ranking)
+    from . import graph, overlap
+    ranking = overlap.load_ranked_list(args.ranking)
     positions = {name: i for i, name in enumerate(ranking.names)}
-    subset, _ = load_node_subset(
+    subset, _ = graph.load_node_subset(
         args.subset, positions, label=Path(args.subset).stem, strict=True
     )
-    series = subset_window_fraction(ranking, subset, window=args.window)
-    write_overlap_series(series, args.output)
+    series = overlap.subset_window_fraction(ranking, subset, window=args.window)
+    overlap.write_overlap_series(series, args.output)
     mean = sum(series.fractions()) / len(series.points)
     print(
         f"{len(subset)} members over {len(series.points)} windows "
@@ -232,13 +218,14 @@ def cmd_overlap_subset_window(args: argparse.Namespace) -> int:
 
 
 def cmd_subset(args: argparse.Namespace) -> int:
-    table = read_rank_table(args.table)
+    from . import graph, twodrank
+    table = twodrank.read_rank_table(args.table)
     label = args.label or Path(args.subset).stem
-    subset, report = load_node_subset(
+    subset, report = graph.load_node_subset(
         args.subset, table.name_index, label=label, strict=args.strict
     )
-    sub_table = subset_rank(table, subset)
-    write_rank_table(sub_table, args.output)
+    sub_table = twodrank.subset_rank(table, subset)
+    twodrank.write_rank_table(sub_table, args.output)
     if report.unresolved:
         print(
             f"warning: skipped {len(report.unresolved)} unresolved name(s)",

@@ -25,14 +25,18 @@ class ParseError(ValueError):
 class ConvergenceError(RuntimeError):
     """Power iteration did not reach the tolerance within max_iter.
 
-    Carries the last iterate so callers can inspect or resume.
+    Carries the last iterate so callers can inspect or resume, and in sweep
+    the smaller damping factors that converged alongside it (RankVector.sweep).
     """
 
-    def __init__(self, message: str, iterate: np.ndarray, residual: float, iterations: int):
+    def __init__(
+        self, message: str, iterate: np.ndarray, residual: float, iterations: int, sweep=()
+    ):
         super().__init__(message)
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
+        self.sweep = dict(sweep)
 
 
 class ContractViolation(ValueError):

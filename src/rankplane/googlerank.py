@@ -24,15 +24,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError
 from .graph import DirectedGraph, invert
 
 if TYPE_CHECKING:  # imported where a matrix is built; see DirectedGraph.from_edges
     import scipy.sparse as sp
-
-DEFAULT_ALPHA = 0.85
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 1000
 
 # How closely a stored probability vector must sum to one.
 NORMALIZATION_TOL = 1e-12
@@ -213,6 +210,7 @@ def _power_iteration(
             iterate=v,
             residual=residual,
             iterations=max_iter,
+            sweep=dict(sorted(solved.items())),
         )
     finally:
         op.close()

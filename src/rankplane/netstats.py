@@ -22,15 +22,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
-from .googlerank import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    INPUT_SUM_TOL,
-    RankVector,
-    pagerank,
-)
-from .graph import DegreeHistogram, DirectedGraph, invert, read_series, write_series
+from .googlerank import INPUT_SUM_TOL, RankVector, pagerank
+from .graph import DegreeHistogram, DirectedGraph, invert
+from .textio import read_series, write_series
 from .twodrank import RankTable
 
 
@@ -120,20 +116,21 @@ def _solve_all(
     """PageRank of g at every alpha, None where it does not converge.
 
     The largest alpha drives one power iteration and the others ride on it
-    (pagerank's `sweep`).  When the driver does not converge, it is marked
-    None and the next largest alpha drives the rest again.
+    (pagerank's `sweep`).  When the driver does not converge, the riders it
+    finished are kept.  A rider unfinished at max_iter has had the budget of
+    its own solve, so it stays None with the driver.
     """
-    pending = sorted(set(alphas), reverse=True)
-    solved: dict[float, RankVector | None] = {}
-    for i, driver in enumerate(pending):
-        try:
-            rv = pagerank(g, alpha=driver, tol=tol, max_iter=max_iter, sweep=pending[i + 1 :])
-        except ConvergenceError:
-            solved[driver] = None
-            continue
+    solved: dict[float, RankVector | None] = dict.fromkeys(alphas)
+    if not solved:
+        return solved
+    driver, *riders = sorted(solved, reverse=True)
+    try:
+        rv = pagerank(g, alpha=driver, tol=tol, max_iter=max_iter, sweep=riders)
+    except ConvergenceError as exc:
+        solved.update(exc.sweep)
+    else:
         solved[driver] = rv
         solved.update(rv.sweep)
-        break
     return solved
 
 
@@ -381,18 +378,6 @@ def _sample_curve(curve: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
 
 
 # ---- scale-free generator ------------------------------------------------------
-
-
-def power_law_pmf(exponent: float, k_max: int, k_min: int = 1) -> np.ndarray:
-    """Normalized pmf proportional to k^(-exponent) on {k_min..k_max}.
-
-    Index 0 of the result corresponds to degree k_min.
-    """
-    if k_min < 1 or k_max < k_min:
-        raise ContractViolation(f"bad support [{k_min}, {k_max}]")
-    k = np.arange(k_min, k_max + 1, dtype=np.float64)
-    p = k**-exponent
-    return p / p.sum()
 
 
 def _mean_adjusted_pmf(exponent: float, mean: float, k_max: int) -> tuple[int, np.ndarray]:

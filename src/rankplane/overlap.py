@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset, name_lines, open_text, read_series, write_series
+from .textio import name_lines, open_text, read_series, write_series
+
+if TYPE_CHECKING:
+    from .graph import NodeSubset
 
 SERIES_KINDS = ("cumulative_f", "window_fw", "subset_fw")
 
@@ -54,12 +57,9 @@ class OverlapSeries:
         return [f for _, f in self.points]
 
 
-def ranked_list(names: Iterable[str]) -> RankedList:
-    return RankedList(names=tuple(names))
-
-
 def load_ranked_list(source: str | Path | IO[str]) -> RankedList:
-    """One name per line, best rank first; '#' lines are comments."""
+    """One name per line, best rank first; '#' lines before the first name
+    are comments."""
     names: list[str] = []
     seen: set[str] = set()
     with open_text(source) as stream:
@@ -81,12 +81,6 @@ def _check_depth(a: RankedList, b: RankedList, depth: int, what: str) -> None:
         raise ContractViolation(
             f"{what} {depth} exceeds the shorter list's length {limit}"
         )
-
-
-def overlap_fraction(a: RankedList, b: RankedList, ks: int) -> float:
-    """Fraction of names shared by the two lists' top-ks segments."""
-    _check_depth(a, b, ks, "ks")
-    return len(set(a.names[:ks]) & set(b.names[:ks])) / ks
 
 
 def overlap_curve(a: RankedList, b: RankedList, ks_max: int) -> OverlapSeries:

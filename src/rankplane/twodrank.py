@@ -19,7 +19,8 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .graph import NodeSubset, joined_fields, read_series, write_series
+from .graph import NodeSubset
+from .textio import joined_fields, read_series, write_series
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
 
 # ---- persistence -----------------------------------------------------------
 
-# The rank table is a tab-separated column file (graph.write_series).
+# The rank table is a tab-separated column file (textio.write_series).
 _TABLE_TYPES = dict(
     name="U", pagerank="d", pagerank_rank="q", cheirank="d", cheirank_rank="q", rank2d="q"
 )

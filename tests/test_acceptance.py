@@ -22,14 +22,11 @@ from rankplane import (
     RankedList,
     cheirank,
     correlator,
-    degree_distribution,
     fit_power_law,
     generate_scale_free,
     grid_from_rank_pairs,
-    histogram_curve,
     invert,
     overlap_curve,
-    overlap_fraction,
     pagerank,
     rank_curve,
     read_rank_table,
@@ -38,8 +35,8 @@ from rankplane import (
     two_d_rank,
 )
 from rankplane.cli import main
-from rankplane.graph import NodeSubset
-from rankplane.netstats import density_grid
+from rankplane.graph import NodeSubset, degree_distribution
+from rankplane.netstats import density_grid, histogram_curve
 
 
 # ---- criterion 1: dense-solve oracle for both rankings --------------------------
@@ -257,7 +254,7 @@ def test_criterion_6_overlap_identities():
         assert fwd.points == rev.points  # symmetry
         hits = [ks * f for ks, f in fwd.points]
         assert all(h2 >= h1 - 1e-9 for h1, h2 in zip(hits, hits[1:]))  # monotone
-        assert overlap_fraction(a, a, depth) == 1.0
+        assert overlap_curve(a, a, depth).points[depth - 1][1] == 1.0
         if trial % 2 == 0:
             assert fwd.points[-1][1] == 1.0  # same name set -> full-depth overlap 1
 

@@ -24,7 +24,7 @@ from rankplane import (
 )
 from rankplane import cli
 from rankplane.cli import main
-from rankplane.graph import read_series
+from rankplane.textio import read_series
 
 
 def run(*argv):
@@ -324,6 +324,18 @@ def test_node_named_with_a_leading_hash_is_a_table_row(tmp_path):
         assert sorted(getattr(table, column).tolist()) == [1, 2, 3]
 
 
+def test_node_named_with_a_leading_hash_is_a_subset_member(tmp_path):
+    """After the first name, a name file's '#' lines are names, as a column
+    file's are rows, so the node '#b' can be a member."""
+    edges = tmp_path / "hash.tsv"
+    edges.write_text("a\t#b\nb\ta\n#b\tb\na\tb\n")
+    table_path = rank_table_for(edges, tmp_path)
+    members = tmp_path / "members.txt"
+    members.write_text("# picked\na\n#b\n")
+    assert run("subset", table_path, members, "-o", tmp_path / "s.tsv") == 0
+    assert sorted(read_rank_table(tmp_path / "s.tsv").names) == ["#b", "a"]
+
+
 def test_fitcurve_output(random_edges, tmp_path):
     table = rank_table_for(random_edges, tmp_path)
     out = tmp_path / "fit.csv"
@@ -455,14 +467,19 @@ def test_subset_command_strict_vs_lenient(random_edges, tmp_path, capsys):
 
 # ---- start-up ------------------------------------------------------------------------
 
-# Runs the analysis commands, then synth, in one fresh interpreter and prints
-# which scipy modules were loaded after each part.
+# Runs the overlap commands that need no NumPy, the analysis commands, then
+# synth, in one fresh interpreter and prints which modules were loaded after
+# each part.
 SCIPY_PROBE = """\
 import json
 import sys
 import rankplane
+import rankplane.overlap
+import rankplane.textio
+from rankplane.cli import main
 
-numpy_on_import = "numpy" in sys.modules
+numpy_free = [main(argv) for argv in json.loads(sys.argv[3])]
+numpy_loaded = "numpy" in sys.modules
 exports = list(rankplane.__all__)
 unresolved = [name for name in exports if getattr(rankplane, name, None) is None]
 try:
@@ -470,7 +487,6 @@ try:
     nope_raises = False
 except AttributeError:
     nope_raises = True
-from rankplane.cli import main
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -478,7 +494,7 @@ def scipy_modules():
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 after_analysis = scipy_modules()
 synth = main(json.loads(sys.argv[2]))
-print(json.dumps([numpy_on_import, exports, unresolved, nope_raises,
+print(json.dumps([numpy_free, numpy_loaded, exports, unresolved, nope_raises,
                   codes, after_analysis, synth, bool(scipy_modules())]))
 """
 
@@ -488,6 +504,8 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
 
     The package itself imports nothing until a name is used: `import
     rankplane` loads no NumPy, and every exported name resolves on demand.
+    The text formats, the overlap module and the `overlap curve` and
+    `overlap window` commands load no NumPy either.
     """
     table = str(rank_table_for(random_edges, tmp_path))
     names = [f"v{i:02d}" for i in range(50)]
@@ -506,8 +524,10 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
         ["subset", table, marked, "-o", out],
     ]
     synth = ["synth", "150", "-o", str(tmp_path / "edges.tsv"), "--seed", "4"]
+    numpy_free = analysis[4:6]
+    probe_args = [json.dumps(argv) for argv in (analysis, synth, numpy_free)]
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(analysis), json.dumps(synth)],
+        [sys.executable, "-c", SCIPY_PROBE, *probe_args],
         capture_output=True,
         text=True,
         env=package_env(),
@@ -515,10 +535,11 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     (
-        numpy_on_import, exports, unresolved, nope_raises,
+        numpy_free_codes, numpy_loaded, exports, unresolved, nope_raises,
         codes, after_analysis, synth_code, scipy_after_synth,
     ) = json.loads(result.stdout.splitlines()[-1])
-    assert not numpy_on_import
+    assert numpy_free_codes == [0, 0]
+    assert not numpy_loaded
     assert exports and len(set(exports)) == len(exports)
     assert unresolved == []
     assert nope_raises

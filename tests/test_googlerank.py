@@ -317,7 +317,8 @@ def test_sweep_values_outside_zero_to_alpha_are_refused(beta):
         pagerank(multigraph(0), alpha=0.85, sweep=(0.5, beta))
 
 
-def test_correlator_sweep_builds_one_operator_per_direction(monkeypatch):
+def operator_builds(monkeypatch) -> list[float]:
+    """The alpha of every GoogleOperator built from here on."""
     built = []
     init = GoogleOperator.__init__
 
@@ -326,16 +327,25 @@ def test_correlator_sweep_builds_one_operator_per_direction(monkeypatch):
         init(self, g, alpha, workers)
 
     monkeypatch.setattr(GoogleOperator, "__init__", counting_init)
+    return built
+
+
+def test_correlator_sweep_builds_one_operator_per_direction(monkeypatch):
+    built = operator_builds(monkeypatch)
     points = correlator_sweep(multigraph(2), [0.5, 0.6, 0.7, 0.8, 0.85, 0.9])
     assert all(pt.converged for pt in points)
     assert built == [0.9, 0.9]
 
 
-def test_a_smaller_alpha_converges_when_the_driver_runs_out_of_steps():
+def test_a_smaller_alpha_converges_when_the_driver_runs_out_of_steps(monkeypatch):
+    """The riders that converged before the driver ran out of steps are kept,
+    so the sweep still builds one operator per direction."""
     g = multigraph(3)
     small, large = pagerank(g, alpha=0.5), pagerank(g, alpha=0.95)
     assert small.iterations < large.iterations
+    built = operator_builds(monkeypatch)
     points = correlator_sweep(g, [0.5, 0.95], max_iter=small.iterations)
+    assert built == [0.95, 0.95]
     assert [pt.converged for pt in points] == [True, False]
     assert math.isnan(points[1].kappa)
     p_star = pagerank(invert(g), alpha=0.5)

@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 from rankplane import (
     ContractViolation,
     DirectedGraph,
+    RankedList,
     ParseError,
     build_rank_table,
     cheirank,
     correlator,
-    degree_distribution,
     density_grid,
     fit_power_law,
     invert,
     load_edge_list,
     load_node_subset,
     pagerank,
-    ranked_list,
     read_density_grid,
     read_overlap_series,
     read_rank_table,
@@ -32,12 +31,13 @@ from rankplane import (
     write_overlap_series,
     write_rank_table,
 )
-from rankplane.graph import read_series, write_series
+from rankplane.graph import degree_distribution
 from rankplane.netstats import (
     write_correlator_points,
     write_eta_slice,
     write_power_law_fit,
 )
+from rankplane.textio import read_series, write_series
 
 BASIC = """\
 # comment line
@@ -317,7 +317,7 @@ def boundary_cases():
         "correlator_points": (write_correlator_points, [correlator(p, p_star)], read_series),
         "overlap_series": (
             write_overlap_series,
-            window_overlap(ranked_list("abcd"), ranked_list("bacd"), window=2),
+            window_overlap(RankedList(tuple("abcd")), RankedList(tuple("bacd")), window=2),
             read_overlap_series,
         ),
     }

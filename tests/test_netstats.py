@@ -14,28 +14,27 @@ from rankplane import (
     build_rank_table,
     correlator,
     correlator_sweep,
-    degree_distribution,
     density_grid,
     fit_power_law,
     generate_scale_free,
     grid_from_rank_pairs,
-    histogram_curve,
     invert,
     pagerank,
-    power_law_pmf,
     rank_curve,
     read_density_grid,
     sample_independent,
     slice_density,
     write_density_grid,
 )
-from rankplane.graph import read_series
+from rankplane.graph import degree_distribution
 from rankplane.netstats import (
     _mean_adjusted_pmf,
+    histogram_curve,
     write_correlator_points,
     write_eta_slice,
     write_power_law_fit,
 )
+from rankplane.textio import read_series
 
 
 def uniform_vector(n, alpha=0.85):
@@ -353,7 +352,8 @@ def test_histogram_and_rank_curves():
 
 
 def test_sample_independent_is_deterministic():
-    curve = power_law_pmf(1.5, 100)
+    weights = np.arange(1, 101, dtype=np.float64) ** -1.5
+    curve = weights / weights.sum()
     a = sample_independent(curve, curve, 500, seed=11)
     b = sample_independent(curve, curve, 500, seed=11)
     np.testing.assert_array_equal(a[0], b[0])
@@ -392,14 +392,6 @@ def test_sample_independent_validates_the_curves():
 
 
 # ---- scale-free generator -------------------------------------------------------
-
-
-def test_power_law_pmf_shape():
-    pmf = power_law_pmf(2.0, 4)
-    z = 1 + 1 / 4 + 1 / 9 + 1 / 16
-    np.testing.assert_allclose(pmf, np.array([1, 1 / 4, 1 / 9, 1 / 16]) / z)
-    with pytest.raises(ContractViolation):
-        power_law_pmf(2.0, 0)
 
 
 def test_mean_adjusted_pmf_hits_the_target_mean_with_exact_tail():

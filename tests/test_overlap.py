@@ -13,13 +13,12 @@ from rankplane import (
     RankedList,
     load_ranked_list,
     overlap_curve,
-    overlap_fraction,
     read_overlap_series,
     subset_window_fraction,
     window_overlap,
     write_overlap_series,
 )
-from rankplane import graph
+from rankplane import textio
 
 
 def names(n, prefix="v"):
@@ -39,35 +38,40 @@ def naive_overlap(a, b, ks):
     return len(set(a[:ks]) & set(b[:ks])) / ks
 
 
-# ---- overlap_fraction ----------------------------------------------------------
+# ---- overlap_curve at one depth -------------------------------------------------
+
+
+def fraction_at(a, b, ks):
+    """f(ks): the last point of the curve to ks."""
+    return overlap_curve(a, b, ks).points[ks - 1][1]
 
 
 def test_hand_counted_overlap():
     a = RankedList(["x", "y", "z", "u", "v"])
     b = RankedList(["y", "z", "w", "x", "t"])
-    assert overlap_fraction(a, b, 3) == pytest.approx(2 / 3)
-    assert overlap_fraction(a, b, 1) == 0.0
-    assert overlap_fraction(a, b, 4) == pytest.approx(3 / 4)
+    assert fraction_at(a, b, 3) == pytest.approx(2 / 3)
+    assert fraction_at(a, b, 1) == 0.0
+    assert fraction_at(a, b, 4) == pytest.approx(3 / 4)
 
 
 def test_overlap_extremes():
     a = RankedList(names(10))
-    assert overlap_fraction(a, a, 10) == 1.0
+    assert fraction_at(a, a, 10) == 1.0
     b = RankedList(names(10, prefix="w"))
-    assert overlap_fraction(a, b, 10) == 0.0
+    assert fraction_at(a, b, 10) == 0.0
     # full-depth overlap of a permutation is always 1
     rng = np.random.default_rng(8)
     c = RankedList([a[i] for i in rng.permutation(10)])
-    assert overlap_fraction(a, c, 10) == 1.0
+    assert fraction_at(a, c, 10) == 1.0
 
 
 def test_overlap_depth_validation():
     a = RankedList(names(5))
     b = RankedList(names(5))
     with pytest.raises(ContractViolation):
-        overlap_fraction(a, b, 0)
+        overlap_curve(a, b, 0)
     with pytest.raises(ContractViolation):
-        overlap_fraction(a, b, 6)
+        overlap_curve(a, b, 6)
 
 
 def test_ranked_list_rejects_duplicates():
@@ -229,6 +233,12 @@ def test_ranked_list_file_round_trip(tmp_path):
     assert list(ranking) == ["alpha", "beta", "gamma"]
 
 
+def test_ranked_list_file_keeps_a_hash_name_after_the_first_name(tmp_path):
+    path = tmp_path / "ranking.txt"
+    path.write_text("# leading comment\nx\n#y\n")
+    assert list(load_ranked_list(path)) == ["x", "#y"]
+
+
 def test_ranked_list_file_rejects_duplicates(tmp_path):
     path = tmp_path / "ranking.txt"
     path.write_text("alpha\nbeta\nalpha\n")
@@ -255,7 +265,7 @@ def test_overlap_series_round_trip(tmp_path, monkeypatch):
             subset_window_fraction(a, subset_of(["v5", "v45"]), window=8),
         ),
     ):
-        monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(textio, "_BLOCK_CHARS", block_chars)
         path = tmp_path / f"{series.kind}.csv"
         write_overlap_series(series, path)
         back = read_overlap_series(path)

@@ -29,7 +29,7 @@ from rankplane import (
     write_edge_list,
     write_rank_table,
 )
-from rankplane import graph, twodrank
+from rankplane import graph, textio, twodrank
 
 COMMENT_CHAR = "#"
 _TABLE_COLUMNS = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d")
@@ -243,7 +243,7 @@ def compare_outcomes(expected, got):
 @example(text="a\tb\t1\r\nb\tc\t1\n", chars=100)
 def test_edge_list_blocks_match_the_per_line_loader(text, chars):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_BLOCK_CHARS", chars)
+        mp.setattr(textio, "_BLOCK_CHARS", chars)
         expected = outcome(reference_load_edge_list, text)
         got = outcome(load_edge_list, text)
     if compare_outcomes(expected, got):
@@ -266,7 +266,7 @@ def test_only_odd_blocks_take_the_per_line_parser(monkeypatch):
         per_line_blocks.append(lines)
         parse_lines(lines, *args)
 
-    monkeypatch.setattr(graph, "_BLOCK_CHARS", 16)  # three 6-character lines a block
+    monkeypatch.setattr(textio, "_BLOCK_CHARS", 16)  # three 6-character lines a block
     monkeypatch.setattr(graph, "_parse_edge_lines", spy)
     g = load_edge_list(io.StringIO("a\tb\t1\n" * 10 + "# note\n" + "b\tc\t2\n" * 10))
     assert g.ingest.lines == 20 and g.total_edge_weight == 30
@@ -327,7 +327,7 @@ def table_texts(draw):
 )
 def test_rank_table_blocks_match_the_per_line_reader(text, chars):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_BLOCK_CHARS", chars)
+        mp.setattr(textio, "_BLOCK_CHARS", chars)
         expected = outcome(reference_read_rank_table, text)
         got = outcome(read_rank_table, text)
     if compare_outcomes(expected, got):
@@ -354,7 +354,7 @@ def test_bulk_table_columns_convert_like_float_and_int(text, column):
     except ValueError:
         accepted = False
     columns = {k: [] if c == "U" else array(c) for k, c in types.items()}
-    assert graph._bulk_columns(["\t".join(fields) + "\n"], columns, types, "\t") == accepted
+    assert textio._bulk_columns(["\t".join(fields) + "\n"], columns, types, "\t") == accepted
     if accepted:
         got = columns[name][0]
         assert np.array([got], dtype=code).tobytes() == np.array([expected], dtype=code).tobytes()
@@ -386,7 +386,7 @@ def test_edge_list_writer_matches_the_per_row_writer(g, rows):
         g.names[i].startswith(COMMENT_CHAR) for i in sources
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_BLOCK_ROWS", rows)
+        mp.setattr(textio, "_BLOCK_ROWS", rows)
         if refused:
             with pytest.raises(ContractViolation):
                 write_edge_list(g, got)
@@ -421,6 +421,6 @@ def test_rank_table_writer_matches_the_per_row_writer(table, rows):
     expected, got = io.StringIO(), io.StringIO()
     reference_write_rank_table(table, expected)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_BLOCK_ROWS", rows)
+        mp.setattr(textio, "_BLOCK_ROWS", rows)
         write_rank_table(table, got)
     assert got.getvalue() == expected.getvalue()
