@@ -73,6 +73,7 @@ class DirectedGraph:
         self._name_index: dict[str, int] | None = None
         self._out_weight: np.ndarray | None = None
         self._transpose: sp.csr_matrix | None = None  # invert(self).adj
+        self._content_hash: str | None = None
 
     # ---- construction ----------------------------------------------------
 
@@ -81,8 +82,9 @@ class DirectedGraph:
         cls, names: list[str], src: np.ndarray, dst: np.ndarray, mult: np.ndarray
     ) -> "DirectedGraph":
         """Build the canonical CSR from parallel edge arrays (duplicates merged)."""
-        # Imported here, the one place a sparse matrix is built, so that the
-        # commands that only read rank tables or name lists start without it.
+        # Imported in the two constructors, the only places a sparse matrix is
+        # built, so that the commands that only read rank tables or name lists
+        # start without it.
         import scipy.sparse as sp
 
         n = len(names)
@@ -98,6 +100,22 @@ class DirectedGraph:
         ).tocsr()
         adj.sum_duplicates()
         adj.sort_indices()
+        return cls(names, adj)
+
+    @classmethod
+    def from_csr(
+        cls, names: list[str], indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
+    ) -> "DirectedGraph":
+        """Wrap arrays that already are canonical CSR, without copying them.
+
+        The caller guarantees the form: rows ascending, each row's columns
+        ascending and distinct, every multiplicity >= 1.
+        """
+        import scipy.sparse as sp
+
+        n = len(names)
+        adj = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        adj.has_canonical_format = True
         return cls(names, adj)
 
     # ---- basic queries ---------------------------------------------------
@@ -156,14 +174,16 @@ class DirectedGraph:
         return self.adj.nnz == remapped.nnz and (self.adj != remapped).nnz == 0
 
     def content_hash(self) -> str:
-        """Stable hex digest of the node table plus canonical CSR arrays."""
-        h = hashlib.sha256()
-        h.update(str(self.n_nodes).encode())
-        h.update(b"\x00".join(name.encode("utf-8") for name in self.names))
-        h.update(self.adj.indptr.astype(np.int64).tobytes())
-        h.update(self.adj.indices.astype(np.int64).tobytes())
-        h.update(self.adj.data.astype(np.int64).tobytes())
-        return h.hexdigest()[:16]
+        """Stable hex digest of the node table plus canonical CSR arrays,
+        computed once per graph."""
+        if self._content_hash is None:
+            h = hashlib.sha256()
+            h.update(str(self.n_nodes).encode())
+            h.update(b"\x00".join(name.encode("utf-8") for name in self.names))
+            for arr in (self.adj.indptr, self.adj.indices, self.adj.data):
+                h.update(arr.astype(np.int64, copy=False))
+            self._content_hash = h.hexdigest()[:16]
+        return self._content_hash
 
     def __repr__(self) -> str:
         return (

@@ -44,8 +44,12 @@ class CorrelatorPoint:
 
 
 def kappa(p: np.ndarray, p_star: np.ndarray) -> float:
-    """kappa = N * sum_i P(i) P*(i) - 1 of two probability vectors of length N."""
-    return len(p) * float(np.dot(p, p_star)) - 1.0
+    """kappa = N * sum_i P(i) P*(i) - 1 of two probability vectors of length N.
+
+    The sum is exactly rounded (math.fsum), so its bits do not depend on how
+    a BLAS dot would split it across threads.
+    """
+    return len(p) * math.fsum((p * p_star).tolist()) - 1.0
 
 
 def correlator(p: RankVector, p_star: RankVector) -> CorrelatorPoint:
@@ -179,10 +183,15 @@ def _cell(x, h: float, cells: int) -> np.ndarray:
     return np.minimum((np.asarray(x) / h).astype(np.int64), cells - 1)
 
 
+# Pairs binned per step of grid_from_rank_pairs: its temporaries stay this
+# long however many pairs there are.
+_BIN_BLOCK = 1 << 16
+
+
 def grid_from_rank_pairs(
     k: np.ndarray, k_star: np.ndarray, n_ranks: int, cells: int = 100
 ) -> DensityGrid:
-    """Bin (rank, rank*) pairs on the cells x cells log grid."""
+    """Bin (rank, rank*) pairs on the cells x cells log grid, a block at a time."""
     if n_ranks < 2:
         raise ContractViolation("need at least 2 ranks for a log-spaced grid")
     if cells < 2:
@@ -194,8 +203,11 @@ def grid_from_rank_pairs(
     if k.min() < 1 or k_star.min() < 1 or k.max() > n_ranks or k_star.max() > n_ranks:
         raise ContractViolation(f"ranks must lie in [1, {n_ranks}]")
     h = math.log(n_ranks) / cells
-    ix, iy = _cell(np.log(k), h, cells), _cell(np.log(k_star), h, cells)
-    flat = np.bincount(ix * cells + iy, minlength=cells * cells)
+    flat = np.zeros(cells * cells, dtype=np.int64)
+    for lo in range(0, len(k), _BIN_BLOCK):
+        block = slice(lo, lo + _BIN_BLOCK)
+        ix, iy = _cell(np.log(k[block]), h, cells), _cell(np.log(k_star[block]), h, cells)
+        flat += np.bincount(ix * cells + iy, minlength=cells * cells)
     return DensityGrid(
         counts=flat.reshape(cells, cells), n_ranks=n_ranks, n_samples=len(k)
     )
@@ -374,10 +386,14 @@ def _sample_curve(curve: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
         raise ContractViolation("rank curve has negative entries")
     cum = np.cumsum(curve)
     cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(n), side="right").astype(np.int64) + 1
+    ranks = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64, copy=False)
+    ranks += 1
+    return ranks
 
 
 # ---- scale-free generator ------------------------------------------------------
+
+_INT32_MAX = 2**31 - 1
 
 
 def _mean_adjusted_pmf(exponent: float, mean: float, k_max: int) -> tuple[int, np.ndarray]:
@@ -444,26 +460,54 @@ def generate_scale_free(
     rng = np.random.default_rng(seed)
     k0_in, pmf_in = _mean_adjusted_pmf(mu_in, mean_degree, n)
     k0_out, pmf_out = _mean_adjusted_pmf(mu_out, mean_degree, n)
-    deg_in = _sample_curve(pmf_in, n, rng) + (k0_in - 1)
-    deg_out = _sample_curve(pmf_out, n, rng) + (k0_out - 1)
+    deg_in = _sample_curve(pmf_in, n, rng)
+    deg_in += k0_in - 1
+    deg_out = _sample_curve(pmf_out, n, rng)
+    deg_out += k0_out - 1
 
-    in_stubs = np.repeat(np.arange(n, dtype=np.int64), deg_in)
-    out_stubs = np.repeat(np.arange(n, dtype=np.int64), deg_out)
-    m = min(len(in_stubs), len(out_stubs))
+    # Peak memory is the point here: every full-length array is dropped as
+    # soon as it is used, and stubs hold int32 node indices while they fit.
+    nodes = np.arange(n, dtype=np.int32 if n <= _INT32_MAX else np.int64)
+    in_stubs = np.repeat(nodes, deg_in)
+    src = np.repeat(nodes, deg_out)  # out-stubs, in source order
+    del nodes, deg_in, deg_out
+    m = min(len(in_stubs), len(src))
     if len(in_stubs) > m:
         in_stubs = in_stubs[rng.permutation(len(in_stubs))[:m]]
-    elif len(out_stubs) > m:
-        out_stubs = out_stubs[rng.permutation(len(out_stubs))[:m]]
+    elif len(src) > m:
+        src = src[rng.permutation(len(src))[:m]]
     dst = in_stubs[rng.permutation(m)]
-    src = out_stubs
+    del in_stubs
 
-    code = src * np.int64(n) + dst
-    unique, counts = np.unique(code, return_counts=True)
+    # code = src * n + dst; sorted, its runs are the merged (source, target)
+    # pairs in canonical CSR order.
+    code = src.astype(np.int64)
+    del src
+    code *= n
+    code += dst
+    del dst
+    code.sort()
+    first = np.empty(m, dtype=bool)  # first element of each run
+    first[:1] = True
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    pairs = code[first]
+    del code
+
+    # CSR index arrays are int32 while they fit, as from_edges builds them.
+    index_type = np.int32 if max(n, len(pairs)) <= _INT32_MAX else np.int64
+    indptr = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n).astype(index_type)
+    pairs %= n
+    indices = pairs.astype(index_type)
+    del pairs
+    starts = np.flatnonzero(first)
+    del first
+    counts = np.empty(len(starts), dtype=np.int64)  # run lengths
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = m - starts[-1:]
+    del starts
     width = len(str(n - 1))
     names = [f"n{i:0{width}d}" for i in range(n)]
-    return DirectedGraph.from_edges(
-        names, unique // n, unique % n, counts.astype(np.int64)
-    )
+    return DirectedGraph.from_csr(names, indptr, indices, counts)
 
 
 # ---- persistence -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Edge-list ingestion, multigraph semantics, inversion, degrees, subsets."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -221,6 +222,17 @@ def test_content_hash_stability():
     assert g1.content_hash() == g2.content_hash()
     g3 = load(BASIC + "a\tc\n")
     assert g1.content_hash() != g3.content_hash()
+
+
+def test_content_hash_digest_is_fixed_and_computed_once():
+    g = load(BASIC)
+    h = hashlib.sha256()
+    h.update(str(g.n_nodes).encode())
+    h.update(b"\x00".join(name.encode("utf-8") for name in g.names))
+    for arr in (g.adj.indptr, g.adj.indices, g.adj.data):
+        h.update(arr.astype(np.int64).tobytes())
+    assert g.content_hash() == h.hexdigest()[:16]
+    assert g.content_hash() is g.content_hash()
 
 
 def test_rejects_nonpositive_multiplicity_in_from_edges():

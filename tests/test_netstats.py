@@ -2,6 +2,11 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +33,9 @@ from rankplane import (
 )
 from rankplane.graph import degree_distribution
 from rankplane.netstats import (
+    _BIN_BLOCK,
     _mean_adjusted_pmf,
+    kappa,
     histogram_curve,
     write_correlator_points,
     write_eta_slice,
@@ -79,6 +86,35 @@ def test_correlator_on_symmetric_graph_reduces_to_self_term():
     kappa = correlator(p, p_star).kappa
     self_term = n * float(np.dot(p.values, p.values)) - 1.0
     assert abs(kappa - self_term) <= 1e-12
+
+
+KAPPA_BITS = """
+import numpy as np
+from rankplane.netstats import kappa
+rng = np.random.default_rng(9)
+p, q = rng.random(100_000), rng.random(100_000)
+print(kappa(p / p.sum(), q / q.sum()).hex())
+"""
+
+
+def test_kappa_bits_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    bits = set()
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", KAPPA_BITS], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        bits.add(run.stdout.strip())
+    assert len(bits) == 1
+
+
+def test_kappa_is_the_exactly_rounded_sum():
+    # A running sum loses the 1.0 against 1e16; the exact sum keeps it.
+    assert kappa(np.ones(3), np.array([1e16, 1.0, -1e16])) == 3 * 1.0 - 1.0
 
 
 def test_correlator_length_mismatch():
@@ -150,6 +186,37 @@ def test_grid_against_naive_binning():
     k_star = rng.integers(1, n_ranks + 1, size=4000)
     grid = grid_from_rank_pairs(k, k_star, n_ranks, cells=37)
     np.testing.assert_array_equal(grid.counts, naive_grid_counts(k, k_star, n_ranks, 37))
+
+
+@pytest.mark.parametrize(
+    "length", [1, _BIN_BLOCK - 1, _BIN_BLOCK, 3 * _BIN_BLOCK + 17]
+)
+def test_grid_bins_in_blocks_like_one_bincount(length):
+    rng = np.random.default_rng(length)
+    n_ranks, cells = 10_000, 50
+    k = rng.integers(1, n_ranks + 1, size=length)
+    k_star = rng.integers(1, n_ranks + 1, size=length)
+    h = math.log(n_ranks) / cells
+    ix = np.minimum((np.log(k) / h).astype(np.int64), cells - 1)
+    iy = np.minimum((np.log(k_star) / h).astype(np.int64), cells - 1)
+    expected = np.bincount(ix * cells + iy, minlength=cells * cells)
+    grid = grid_from_rank_pairs(k, k_star, n_ranks, cells=cells)
+    np.testing.assert_array_equal(grid.counts.ravel(), expected)
+    assert grid.counts.dtype == np.int64 and grid.n_samples == length
+
+
+def test_grid_temporaries_do_not_scale_with_the_pairs():
+    rng = np.random.default_rng(14)
+    n_ranks = 100_000
+    k = rng.integers(1, n_ranks + 1, size=1_000_000)
+    k_star = rng.integers(1, n_ranks + 1, size=1_000_000)
+    tracemalloc.start()
+    try:
+        grid_from_rank_pairs(k, k_star, n_ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6  # the inputs alone are 16 MB
 
 
 def test_grid_mass_is_conserved():
@@ -414,6 +481,70 @@ def test_generate_scale_free_is_deterministic():
     assert g1.content_hash() == g2.content_hash()
     g3 = generate_scale_free(300, 2.3, 2.6, 3.0, seed=78)
     assert g1.content_hash() != g3.content_hash()
+
+
+def parent_way_scale_free(n, mu_in, mu_out, mean_degree, seed):
+    """The generator as first written: np.unique over the pair codes, then a
+    COO build through DirectedGraph.from_edges.  Same RNG calls, same order."""
+    rng = np.random.default_rng(seed)
+
+    def degrees(exponent):
+        k0, pmf = _mean_adjusted_pmf(exponent, mean_degree, n)
+        cum = np.cumsum(pmf)
+        cum[-1] = 1.0
+        return np.searchsorted(cum, rng.random(n), side="right") + k0
+
+    deg_in = degrees(mu_in)
+    deg_out = degrees(mu_out)
+    in_stubs = np.repeat(np.arange(n, dtype=np.int64), deg_in)
+    out_stubs = np.repeat(np.arange(n, dtype=np.int64), deg_out)
+    m = min(len(in_stubs), len(out_stubs))
+    if len(in_stubs) > m:
+        in_stubs = in_stubs[rng.permutation(len(in_stubs))[:m]]
+    elif len(out_stubs) > m:
+        out_stubs = out_stubs[rng.permutation(len(out_stubs))[:m]]
+    dst = in_stubs[rng.permutation(m)]
+    unique, counts = np.unique(out_stubs * n + dst, return_counts=True)
+    width = len(str(n - 1))
+    names = [f"n{i:0{width}d}" for i in range(n)]
+    trimmed = "in" if deg_in.sum() > deg_out.sum() else "out"
+    return DirectedGraph.from_edges(names, unique // n, unique % n, counts), trimmed
+
+
+# (n, mu_in, mu_out, mean degree, seed) -> which side has the excess stubs.
+GENERATOR_CASES = {
+    (100, 2.1, 2.76, 3.0, 0): "in",
+    (100, 2.1, 2.76, 3.0, 1): "out",
+    (2000, 2.5, 2.5, 4.0, 1): "in",
+    (2000, 2.5, 2.5, 4.0, 3): "out",
+    (5000, 2.1, 2.76, 10.0, 2): "in",
+    (5000, 2.1, 2.76, 10.0, 0): "out",
+}
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES)
+def test_generate_scale_free_matches_the_unique_and_coo_build(case):
+    expected, trimmed = parent_way_scale_free(*case)
+    assert trimmed == GENERATOR_CASES[case]
+    g = generate_scale_free(*case)
+    assert g.names == expected.names
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(g.adj, attr), getattr(expected.adj, attr)
+        assert got.dtype == want.dtype, attr
+        np.testing.assert_array_equal(got, want)
+    assert g.adj.has_canonical_format and g.content_hash() == expected.content_hash()
+
+
+def test_generate_scale_free_peak_memory():
+    generate_scale_free(100, 2.1, 2.76, 3.0, seed=0)  # imports happen outside the trace
+    tracemalloc.start()
+    try:
+        g = generate_scale_free(100_000, 2.1, 2.76, 10.0, seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges > 900_000
+    assert peak <= 45e6  # the result itself holds about 18 MB
 
 
 def test_generate_scale_free_basic_shape():
