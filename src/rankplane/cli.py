@@ -19,7 +19,6 @@ input, configuration, and seed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -35,15 +34,6 @@ EXIT_CONTRACT = 4
 
 DEFAULT_GRID_CELLS = 100
 DEFAULT_WINDOW = 20
-
-
-def _sha256(path: str | Path) -> str:
-    """Digest of a file, read 1 MiB at a time so the file is never held whole."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while block := f.read(1 << 20):
-            h.update(block)
-    return h.hexdigest()
 
 
 def _fit_range(text: str) -> tuple[float, float]:
@@ -95,7 +85,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "config": {**params, "workers": args.workers},
         "input": {
             "path": str(args.edges),
-            "sha256": _sha256(args.edges),
+            "sha256": g.ingest.sha256,
             "graph_hash": g.content_hash(),
             "n_nodes": g.n_nodes,
             "n_edges": g.n_edges,

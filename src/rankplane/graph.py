@@ -9,10 +9,11 @@ only matter at the file boundary.
 from __future__ import annotations
 
 import hashlib
+import io
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping
+from typing import IO, TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .textio import (
     name_lines,
     open_text,
     row_blocks,
-    split_block,
     tsv_block,
 )
 
@@ -40,6 +40,7 @@ class IngestStats:
     edges: int
     self_loops: int
     duplicates_merged: int
+    sha256: str | None = None  # of the file read; None for a caller's stream
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,9 @@ class DirectedGraph:
         if self._content_hash is None:
             h = hashlib.sha256()
             h.update(str(self.n_nodes).encode())
-            h.update(b"\x00".join(name.encode("utf-8") for name in self.names))
+            # surrogatepass: a name read from a caller's stream may hold a
+            # lone surrogate; every other name encodes as plain UTF-8.
+            h.update("\x00".join(self.names).encode("utf-8", "surrogatepass"))
             for arr in (self.adj.indptr, self.adj.indices, self.adj.data):
                 h.update(arr.astype(np.int64, copy=False))
             self._content_hash = h.hexdigest()[:16]
@@ -236,58 +239,286 @@ def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True)
 # Missing multiplicity means 1.  Lines starting with '#' are comments;
 # blank lines are ignored.  Names are trimmed of surrounding whitespace.
 
-# Multiplicities are stored as int64.  The bulk parser converts at most
-# 18 digits, which cannot overflow; longer ones go to the per-line parser.
+# Edge lists are read _BLOCK_BYTES of whole lines at a time.  A block's
+# arrays take about 16 bytes per byte of it: at 256 KiB they do not raise the
+# peak memory of `rank`, which 1 MiB blocks raise by about 10%, and larger
+# blocks merge more repeated names before they are looked up.
+_BLOCK_BYTES = 1 << 18
+# Multiplicities are stored as int64.  The byte pass converts at most 18
+# digits, which cannot overflow; longer ones go to the per-line parser.
 _MAX_MULTIPLICITY = 2**63 - 1
 _BULK_MAX_DIGITS = 18
+# _MASKS[r] keeps the first r bytes of a little-endian 8-byte word.
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+# Zero bytes after a block's last line, read by the word and digit gathers.
+_PAD = 32
 
 
-def _bulk_edges(lines: list[str], index: dict[str, int], ends: array, mult: array) -> bool:
-    """Parse a block of plain three-field edge lines in one pass.
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word starting at each byte of buf (a view)."""
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
 
-    Returns False, having changed nothing, when any line needs the per-line
-    parser: a comment, a blank line, a two-field row, an empty or padded
-    name, or a multiplicity that is zero or not 1-18 ASCII digits.
+
+def _word_rounds(lengths: np.ndarray) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+    """(offset, rows, mask) for each 8-byte word of byte strings of these
+    lengths: the strings longer than offset (all of them at offset 0), and
+    the mask of their bytes in the word at offset."""
+    rows: slice | np.ndarray = slice(None)
+    for offset in range(0, int(lengths.max(initial=0)), 8):
+        if offset:
+            rows = np.flatnonzero(lengths > offset)
+        yield offset, rows, _MASKS[np.minimum(lengths[rows] - offset, 8)]
+
+
+def _name_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each byte string words[start : start + length].
+
+    Equal strings get equal keys.  Different strings can share a key; the
+    byte pass proves every match, so a shared key only costs time.
     """
-    tokens = split_block(lines, 3)
-    if tokens is None:
+    keys = lengths.astype(np.uint64) * _MIX
+    for offset, rows, mask in _word_rounds(lengths):
+        h = (keys[rows] ^ (words[starts[rows] + offset] & mask)) * _MIX
+        keys[rows] = h ^ (h >> np.uint64(29))
+    return keys
+
+
+def _same_bytes(words_a, starts_a, words_b, starts_b, lengths) -> bool:
+    """Whether each byte string at starts_a equals the one at starts_b, both
+    of the given lengths."""
+    for offset, rows, mask in _word_rounds(lengths):
+        a = words_a[starts_a[rows] + offset]
+        if np.any((a ^ words_b[starts_b[rows] + offset]) & mask):
+            return False
+    return True
+
+
+def _grown(arr: np.ndarray, used: int, size: int) -> np.ndarray:
+    """arr, or when it is shorter than size a zero-filled array twice as long
+    that starts with arr[:used]."""
+    if size <= len(arr):
+        return arr
+    grown = np.zeros(2 * size, dtype=arr.dtype)
+    grown[:used] = arr[:used]
+    return grown
+
+
+class _NameTable:
+    """The node names in first-appearance order, and what the byte pass
+    resolves name tokens against: every name's UTF-8 bytes and key, and a
+    hash index of the keys (open addressing, linear probing, at most half
+    full), so that resolving a block costs the same however many names are
+    known."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self._index: dict[str, int] = {}  # built only for the per-line parser
+        self.held = 0  # names whose bytes and key are held
+        self.store = np.zeros(1 << 16, dtype=np.uint8)  # their bytes, each followed by LF
+        self.starts = np.zeros(1 << 12, dtype=np.int64)  # in store, per name and one past
+        self.keys = np.zeros(1 << 12, dtype=np.uint64)  # per name
+        self.slots = np.full(1 << 12, -1, dtype=np.int32)  # name index, -1 if free
+
+    def index(self) -> dict[str, int]:
+        """Name -> node index, every name included."""
+        names, index = self.names, self._index
+        index.update(zip(names[len(index) :], range(len(index), len(names))))
+        return index
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """A node index of each key, or -1 where no name has the key."""
+        mask = len(self.slots) - 1
+        found = np.full(len(keys), -1, dtype=np.int64)
+        rows = np.arange(len(keys))
+        pos = (keys & np.uint64(mask)).astype(np.int64)
+        while len(rows):
+            ids = self.slots[pos]
+            hit = (ids >= 0) & (self.keys[ids] == keys[rows])
+            found[rows[hit]] = ids[hit]
+            probe = (ids >= 0) & ~hit
+            rows, pos = rows[probe], (pos[probe] + 1) & mask
+        return found
+
+    def _place(self, ids: np.ndarray) -> None:
+        """Put each name's index in the first free slot from its key's home
+        on.  Of the names a round writes to one free slot, the one read back
+        there is placed; the others probe on."""
+        mask = len(self.slots) - 1
+        pos = (self.keys[ids] & np.uint64(mask)).astype(np.int64)
+        while len(ids):
+            free = self.slots[pos] < 0
+            self.slots[pos[free]] = ids[free]
+            left = self.slots[pos] != ids
+            ids, pos = ids[left], (pos[left] + 1) & mask
+
+    def add_bytes(self, blob: np.ndarray, lengths: np.ndarray, keys: np.ndarray | None = None) -> None:
+        """Hold the bytes and keys of the next len(lengths) names, which blob
+        holds in order, each followed by one separator byte."""
+        first, end = self.held, self.held + len(lengths)
+        used = self.starts[first]
+        self.store = _grown(self.store, used, used + len(blob) + _PAD)
+        self.store[used : used + len(blob)] = blob
+        self.starts = _grown(self.starts, first + 1, end + 1)
+        self.starts[first + 1 : end + 1] = used + np.cumsum(lengths + 1)
+        if keys is None:
+            keys = _name_keys(_words(self.store), self.starts[first:end], lengths)
+        self.keys = _grown(self.keys, first, end)
+        self.keys[first:end] = keys
+        self.held = end
+        if 2 * end > len(self.slots):
+            self.slots = np.full(1 << (4 * end).bit_length(), -1, dtype=np.int32)
+            self._place(np.arange(end))
+        else:
+            self._place(np.arange(first, end))
+
+    def sync(self) -> None:
+        """Hold the bytes and keys of the names the per-line parser added."""
+        new = self.names[self.held :]
+        if new:
+            raw = [name.encode("utf-8", "surrogatepass") for name in new]
+            lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+            self.add_bytes(np.frombuffer(b"\n".join(raw) + b"\n", dtype=np.uint8), lengths)
+
+
+def _edge_fields(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The fields of a block of edge lines, each ending in LF, found in
+    NumPy: (buf, starts, lengths, mult).  buf is the block without its
+    comment and empty lines, padded with _PAD zero bytes; starts and lengths
+    locate the name tokens in it, source and target of each line
+    interleaved; mult holds the multiplicities.  None when a line needs the
+    per-line parser: a line of other than 2 or 3 fields, or a multiplicity
+    that is zero or not 1-18 ASCII digits."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    nl = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], nl[:-1] + 1))
+    skip = (buf[starts] == ord(COMMENT_CHAR)) | (starts == nl)
+    if skip.any():
+        buf = buf[np.repeat(~skip, nl + 1 - starts)]
+        nl = np.flatnonzero(buf == 10)
+        starts = np.concatenate(([0], nl[:-1] + 1))
+    n = len(nl)
+    buf = np.concatenate((buf, np.zeros(_PAD, dtype=np.uint8)))
+    tabs = np.flatnonzero(buf == 9)
+    tabs_to_end = np.searchsorted(tabs, nl)  # tabs before each line's end
+    fields = np.diff(tabs_to_end, prepend=0) + 1
+    if np.any((fields < 2) | (fields > 3)):
+        return None
+    first = tabs[tabs_to_end - fields + 1]
+    target_end = np.where(fields == 3, tabs[tabs_to_end - 1], nl)
+
+    mult = np.ones(n, dtype=np.int64)
+    three = np.flatnonzero(fields == 3)
+    digits_at = target_end[three] + 1
+    n_digits = nl[three] - digits_at
+    if len(three) and (n_digits.min() < 1 or n_digits.max() > _BULK_MAX_DIGITS):
+        return None
+    values = np.zeros(len(three), dtype=np.int64)
+    for k in range(int(n_digits.max(initial=0))):
+        digit = buf[digits_at + k] - np.uint8(ord("0"))  # wraps below '0'
+        if k:
+            inside = n_digits > k
+            digit[~inside] = 0
+            values[inside] *= 10
+        if np.any(digit > 9):
+            return None
+        values += digit
+    if not values.all():
+        return None
+    mult[three] = values
+
+    tok_start = np.empty(2 * n, dtype=np.int64)
+    tok_start[0::2], tok_start[1::2] = starts, first + 1
+    tok_len = np.empty(2 * n, dtype=np.int64)
+    tok_len[0::2], tok_len[1::2] = first - starts, target_end - first - 1
+    return buf, tok_start, tok_len, mult
+
+
+def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(group_keys, first, group): the distinct keys, the index of the first
+    token of each, and each token's group."""
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    head = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    at = np.flatnonzero(head)
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = np.cumsum(head) - 1
+    return sorted_keys[at], np.minimum.reduceat(order, at), group
+
+
+def _bulk_edges(data: bytes, table: _NameTable, ends: array, mult: array) -> bool:
+    """Parse a block of edge lines, each ending in LF, as bytes in NumPy.
+
+    Lines starting with '#' and empty lines are skipped.  The name tokens
+    are grouped by key, and each group's key is looked up among the known
+    names' keys.  Every token is proved byte for byte equal to its group's
+    first token, and that one to the known name it matched.  Only names new
+    to the graph are decoded.
+
+    Appends the node index pairs of the block's edges, interleaved, to ends
+    and their multiplicities to mult.  Returns False, having changed
+    nothing, when any line needs the per-line parser: one _edge_fields
+    refuses, an empty or padded name, or two names sharing a key.
+    """
+    fields = _edge_fields(data)
+    if fields is None:
         return False
-    sources, targets, counts = tokens[0:-1:4], tokens[1::4], tokens[2::4]
-    digits = "".join(counts)
-    if not (
-        digits.isascii()
-        and digits.isdigit()
-        and all(counts)
-        and max(map(len, counts)) <= _BULK_MAX_DIGITS
-        and all(sources)
-        and all(targets)
-        and list(map(str.strip, sources)) == sources
-        and list(map(str.strip, targets)) == targets
+    buf, tok_start, tok_len, values = fields
+    if not len(tok_start):
+        return True
+    table.sync()
+    words = _words(buf)
+    group_keys, rep, group = _key_groups(_name_keys(words, tok_start, tok_len))
+    rep_of = rep[group]
+    if np.any(tok_len != tok_len[rep_of]) or not _same_bytes(
+        words, tok_start, words, tok_start[rep_of], tok_len
     ):
         return False
-    values = np.array(counts, dtype=np.int64)
-    if not values.all():
+
+    node = table.lookup(group_keys)
+    known = node >= 0
+    known_ids, known_rep = node[known], rep[known]
+    known_len = table.starts[known_ids + 1] - table.starts[known_ids] - 1
+    if np.any(tok_len[known_rep] != known_len) or not _same_bytes(
+        words, tok_start[known_rep], _words(table.store), table.starts[known_ids], known_len
+    ):
         return False
-    names = [""] * (2 * len(sources))
-    names[0::2] = sources
-    names[1::2] = targets
-    intern = index.setdefault
-    ends.extend([intern(name, len(index)) for name in names])
+
+    # Decode the new names, in order of first appearance, in one call.
+    new = np.flatnonzero(~known)
+    new = new[np.argsort(rep[new])]
+    new_start, new_len = tok_start[rep[new]], tok_len[rep[new]]
+    spans = new_len + 1  # each name and the tab or LF after it
+    span_end = np.cumsum(spans)
+    blob = buf[np.repeat(new_start - (span_end - spans), spans) + np.arange(spans.sum())]
+    blob[span_end - 1] = 10
+    new_names = blob.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+    if not all(new_names) or list(map(str.strip, new_names)) != new_names:
+        return False
+
+    node[new] = np.arange(len(table.names), len(table.names) + len(new))
+    table.names.extend(new_names)
+    table.add_bytes(blob, new_len, group_keys[new])
+    ends.frombytes(node[group].tobytes())
     mult.frombytes(values.tobytes())
     return True
 
 
 def _parse_edge_lines(
-    lines: list[str], first_line_no: int, index: dict[str, int], ends: array, mult: array
+    lines: list[str], first_line_no: int, table: _NameTable, ends: array, mult: array
 ) -> None:
     """Parse edge lines one at a time: every form the format allows, and the
     first malformed line reported by its number."""
+    names, index = table.names, table.index()
 
     def intern(name: str, line_no: int) -> int:
         name = name.strip()
         if not name:
             raise ParseError("empty node name", line_no)
-        return index.setdefault(name, len(index))
+        i = index.setdefault(name, len(names))
+        if i == len(names):
+            names.append(name)
+        return i
 
     for line_no, raw in enumerate(lines, start=first_line_no):
         line = raw.rstrip("\n").rstrip("\r")
@@ -314,20 +545,79 @@ def _parse_edge_lines(
         mult.append(m)
 
 
+def _file_text(data: bytes) -> bytes:
+    """A block of a file checked to be UTF-8, with its line ends translated
+    as text mode translates them: CRLF and lone CR to LF."""
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _edge_blocks(
+    source: str | Path | IO[str], digest
+) -> Iterator[tuple[bytes | None, list[str] | None]]:
+    """(data, lines) for consecutive blocks of whole lines.
+
+    data is the block as UTF-8 bytes ending in LF, or None when only the
+    per-line parser may read it; lines is the block as a caller's stream
+    gave it, or None for a file.  A file is read as bytes and digest is fed
+    every byte.  A stream's block is encoded (lone surrogates kept); one
+    holding a CR, which the stream may have split lines at, goes to the
+    per-line parser as given.
+    """
+    if not isinstance(source, (str, Path)):
+        for _, lines in line_blocks(source, _BLOCK_BYTES):
+            text = "".join(lines)
+            if "\r" in text:
+                yield None, lines
+            else:
+                text += "" if text.endswith("\n") else "\n"
+                yield text.encode("utf-8", "surrogatepass"), lines
+        return
+    with open(source, "rb") as f:
+        pending: list[bytes] = []
+        while chunk := f.read(_BLOCK_BYTES):
+            digest.update(chunk)
+            # After the last line end known whole: a CR last in the chunk
+            # may be the first half of a CRLF.
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+            if cut:
+                pending.append(chunk[:cut])
+                yield _file_text(b"".join(pending)), None
+                pending = [chunk[cut:]]
+            else:
+                pending.append(chunk)
+        tail = b"".join(pending)
+        if tail:
+            yield _file_text(tail + b"\n"), None
+
+
 def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     """Parse an edge list into a graph with merged multiplicities.
 
     Node indices are assigned in first-appearance order (source before
     target within a line), which makes repeated runs on the same file
-    deterministic.
+    deterministic.  Read from a path, the SHA-256 of the file's bytes is
+    recorded in g.ingest.
     """
-    index: dict[str, int] = {}
+    table = _NameTable()
+    # Grown in place (by realloc): block arrays joined at the end would hold
+    # every record twice at the peak.
     ends = array("q")  # source and target index of every record, interleaved
     mult = array("q")
-    with open_text(source) as stream:
-        for line_no, lines in line_blocks(stream):
-            if not _bulk_edges(lines, index, ends, mult):
-                _parse_edge_lines(lines, line_no, index, ends, mult)
+    digest = hashlib.sha256() if isinstance(source, (str, Path)) else None
+    line_no = 1
+    for data, lines in _edge_blocks(source, digest):
+        if data is None or not _bulk_edges(data, table, ends, mult):
+            if lines is None:
+                lines = io.StringIO(data.decode("utf-8", "surrogatepass")).readlines()
+            _parse_edge_lines(lines, line_no, table, ends, mult)
+        line_no += data.count(b"\n") if lines is None else len(lines)
 
     records = len(mult)
     if records == 0:
@@ -335,13 +625,14 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
 
     pairs = np.frombuffer(ends, dtype=np.int64).reshape(records, 2)
     g = DirectedGraph.from_edges(
-        list(index), pairs[:, 0], pairs[:, 1], np.frombuffer(mult, dtype=np.int64)
+        table.names, pairs[:, 0], pairs[:, 1], np.frombuffer(mult, dtype=np.int64)
     )
     g.ingest = IngestStats(
         lines=records,
         edges=g.n_edges,
         self_loops=g.self_loop_count(),
         duplicates_merged=records - g.n_edges,
+        sha256=digest.hexdigest() if digest else None,
     )
     return g
 

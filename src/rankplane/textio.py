@@ -167,12 +167,13 @@ def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep
     return True
 
 
-def line_blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (number of the first line, lines) for consecutive blocks of lines."""
+def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """Yield (number of the first line, lines) for consecutive blocks of
+    about chars (by default _BLOCK_CHARS) characters of lines."""
     line_no = 1
     while True:
         try:
-            lines = stream.readlines(_BLOCK_CHARS)
+            lines = stream.readlines(chars or _BLOCK_CHARS)
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
         if not lines:

@@ -12,6 +12,7 @@ entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping
@@ -173,10 +174,36 @@ def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
     write_series(columns, target, meta, sep="\t")
 
 
+# The probabilities of a solve sum to 1 but for float rounding, far below
+# this bound; a dropped or repeated row moves the sum by its probability.
+# The sum is exactly rounded (math.fsum), so the check does not depend on
+# the order of the rows.
+_SUM_TOL = 1e-9
+
+
 def read_rank_table(source: str | Path | IO[str]) -> RankTable:
-    """Parse a table written by write_rank_table (rows keep file order)."""
+    """Parse a table written by write_rank_table (rows keep file order).
+
+    A table that is not whole is a ParseError: a rank column that is not a
+    permutation of 1..N for its N rows, an N other than the header's
+    subset_size (for a subset table) or n_nodes, and, in a full table, a
+    probability column that does not sum to 1 within _SUM_TOL.
+    """
     meta, columns = read_series(source, _TABLE_TYPES, sep="\t")
     names = columns.pop("name")
     if not names:
         raise ParseError("empty rank table file")
+    n = len(names)
+    for key in ("pagerank_rank", "cheirank_rank", "rank2d"):
+        ranks = columns[key]
+        if ranks.min() < 1 or ranks.max() > n or np.any(np.bincount(ranks, minlength=n + 1)[1:] != 1):
+            raise ParseError(f"{key} is not a permutation of 1..{n}, the table's rows")
+    size_key = "subset_size" if "subset_size" in meta else "n_nodes"
+    if size_key in meta and meta[size_key] != str(n):
+        raise ParseError(f"the table has {n} rows, its header says {size_key}={meta[size_key]}")
+    if size_key == "n_nodes":
+        for key in ("pagerank", "cheirank"):
+            total = math.fsum(columns[key].tolist())
+            if not abs(total - 1.0) <= _SUM_TOL:
+                raise ParseError(f"{key} sums to {total!r}, not 1 within {_SUM_TOL:g}")
     return RankTable(names=names, meta=meta, **columns)

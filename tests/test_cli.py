@@ -22,7 +22,7 @@ from rankplane import (
     read_rank_table,
     write_edge_list,
 )
-from rankplane import cli
+from rankplane import cli, graph
 from rankplane.cli import main
 from rankplane.textio import read_series
 
@@ -86,13 +86,19 @@ def test_rank_two_node_cycle(cycle_edges, tmp_path, capsys):
     assert manifest["input"]["sha256"] == hashlib.sha256(cycle_edges.read_bytes()).hexdigest()
 
 
-def test_sha256_reads_in_blocks_and_matches_the_whole_file(tmp_path):
-    path = tmp_path / "big.bin"
-    data = np.random.default_rng(1).bytes(5 * 2**19 + 3)  # 2.5 MiB and a bit
+@pytest.mark.parametrize(
+    "data", [b"a\tb\r\nb\ta\r\n", "\ufeffa\tb\nb\t\ufeffa\n".encode("utf-8")], ids=["crlf", "bom"]
+)
+def test_rank_hashes_the_bytes_it_parsed(data, tmp_path, monkeypatch):
+    """The manifest's input.sha256 is the digest of the file's bytes, which
+    `rank` takes from the one read that parses them, a block at a time."""
+    path = tmp_path / "edges.tsv"
     path.write_bytes(data)
-    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
-    path.write_bytes(b"")
-    assert cli._sha256(path) == hashlib.sha256(b"").hexdigest()
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 5)
+    out = rank_table_for(path, tmp_path)
+    manifest = json.loads(out.with_name("table.tsv.manifest.json").read_text())
+    assert manifest["input"]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert manifest["input"]["n_nodes"] == 2
 
 
 def test_rank_rerun_is_byte_identical(random_edges, tmp_path):
@@ -217,6 +223,29 @@ def test_bad_damping_factor_in_table_header_exits_2(key, random_edges, tmp_path,
     table.write_text(text.replace(f" {key}=0.85 ", f" {key}=abc ", 1))
     assert run("stats", "correlator", table, "-o", tmp_path / "k.csv") == 2
     assert "abc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (lambda lines: lines[:3] + lines[2:], "pagerank_rank is not a permutation of 1..201"),
+        (lambda lines: lines[:102], "cheirank_rank is not a permutation of 1..100"),
+        (lambda lines: [lines[0].replace("n_nodes=200", "n_nodes=199")] + lines[1:], "n_nodes=199"),
+    ],
+    ids=["repeated_row", "first_100_rows", "n_nodes"],
+)
+def test_a_rank_table_that_is_not_whole_exits_2(edit, cause, tmp_path, capsys):
+    """A row repeated or rows dropped used to give a wrong kappa or density
+    grid with exit 0 (or exit 4, naming another cause)."""
+    edges = tmp_path / "e.tsv"
+    assert run("synth", 200, "--seed", 3, "-o", edges) == 0
+    table = rank_table_for(edges, tmp_path)
+    table.write_text("".join(edit(table.read_text().splitlines(keepends=True))))
+    capsys.readouterr()
+    for command in ("correlator", "density"):
+        assert run("stats", command, table, "-o", tmp_path / "out.csv") == 2
+        assert cause in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_nan_tolerance_exits_4(random_edges, tmp_path, capsys):

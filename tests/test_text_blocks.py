@@ -1,16 +1,20 @@
 """The block-at-a-time text readers and writers against line-at-a-time references.
 
-The edge-list loader and the rank-table reader parse blocks of lines in one
-pass and hand any block they cannot prove clean to a per-line parser; the
-writers format blocks of rows at once.  The references below are the
-line-at-a-time implementations these replaced, kept verbatim but for one
-rule: a rank-table line starting with '#' is a header line only before the
-column line, and a row after it.  The block sizes are drawn small, so block
-boundaries fall everywhere: between clean and odd lines, inside runs of
-comments, next to the file's last line.
+The edge-list loader parses blocks of bytes in NumPy and the rank-table
+reader blocks of lines in one pass; each hands any block it cannot prove
+clean to a per-line parser.  The writers format blocks of rows at once.
+The references below are the line-at-a-time implementations these
+replaced, kept verbatim but for two rules: a rank-table line starting with
+'#' is a header line only before the column line, and a row after it; and a
+rank table that is not whole is refused (reference_check_table).  The block
+sizes are drawn small, so block boundaries fall everywhere: between clean
+and odd lines, inside runs of comments, next to the file's last line.
 """
 
+import dataclasses
+import hashlib
 import io
+import math
 from array import array
 
 import numpy as np
@@ -143,6 +147,24 @@ def reference_read_rank_table(source) -> RankTable:
     )
 
 
+def reference_check_table(table: RankTable) -> RankTable:
+    """The table, unless a rank column is not a permutation of 1..N, N is not
+    the header's subset_size or n_nodes, or in a full table a probability
+    column does not sum to 1 within 1e-9."""
+    n = len(table.names)
+    for col in ("pagerank_rank", "cheirank_rank", "rank2d"):
+        if sorted(getattr(table, col).tolist()) != list(range(1, n + 1)):
+            raise ParseError(f"{col} is not a permutation")
+    size = table.meta.get("subset_size", table.meta.get("n_nodes"))
+    if size is not None and size != str(n):
+        raise ParseError(f"{n} rows, header {size}")
+    if "subset_size" not in table.meta:
+        for col in ("pagerank", "cheirank"):
+            if not abs(math.fsum(getattr(table, col).tolist()) - 1.0) <= 1e-9:
+                raise ParseError(f"{col} does not sum to 1")
+    return table
+
+
 def reference_write_edge_list(g: DirectedGraph, out) -> None:
     out.write(f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n")
     indptr, indices, data = g.adj.indptr, g.adj.indices, g.adj.data
@@ -173,41 +195,62 @@ def reference_write_rank_table(table: RankTable, out) -> None:
 
 # ---- generated texts -------------------------------------------------------------
 
-NAMES = st.sampled_from(["a", "b", "c", "n01", "a b", "é", "x#y", "#t", "٣"])
-CLEAN_COUNTS = st.sampled_from(["1", "2", "3", "007", "123456789012345678"])
+WRITER_HEADER = f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n"
+# Names of 1-4-byte UTF-8 characters, names longer than 16 bytes that share
+# their length and their first and last 8 bytes, and names ending in a
+# padding character that is not ASCII.
+NAMES = st.sampled_from([
+    "a", "b", "c", "n01", "a b", "\u00e9", "x#y", "#t", "\u0663", "\u20ac\u4e2d",
+    "\U0001f600", "a\U00010348b", "abcdefgh-1-ijklmnop", "abcdefgh-2-ijklmnop",
+    "abcdefgh-12-ijklmnop", "abcdefgh" * 3 + "x", "abcdefgh" * 3 + "y", "b\u00a0",
+])
+# Names a caller's stream can hold but no UTF-8 file: lone surrogates.
+SURROGATE_NAMES = st.sampled_from([chr(0xDC80), "a" + chr(0xD800), chr(0xD83D) + chr(0xDE00)])
+CLEAN_COUNTS = st.sampled_from(["1", "2", "3", "007", "123456789012345678",
+                                "000000000000000001"])
 # Forms only the per-line parser accepts or rejects; multiplicities beyond
 # int64 are left out: the reference fails on them only after reading the
-# whole file (see test_out_of_range_multiplicity_is_a_parse_error).
-ODD_COUNTS = st.sampled_from(["0", "00", "", " 2", "2 ", "-1", "x", "1.5", "٣", "²", "+1"])
+# whole file (see test_out_of_range_multiplicity_is_a_parse_error).  Forty
+# lines of the largest stay below 2**63 in total.
+ODD_COUNTS = st.sampled_from(["0", "00", "", " 2", "2 ", "-1", "x", "1.5", "\u0663", "\u00b2",
+                              "+1", "0123456789012345678", "0000000000000000000000001",
+                              "000000000000000000"])
 
 
 @st.composite
-def edge_lines(draw):
-    kind = draw(st.sampled_from(["clean"] * 6 + ["two", "odd_count", "padded", "comment",
-                                                 "blank", "fields", "empty_name", "crlf"]))
-    s, t = draw(NAMES), draw(NAMES)
-    if kind == "clean":
-        return f"{s}\t{t}\t{draw(CLEAN_COUNTS)}\n"
-    if kind == "two":
+def edge_lines(draw, two_fields=False, names=NAMES):
+    kind = draw(st.sampled_from(["clean"] * 8 + ["two", "three", "odd_count", "padded",
+                                                 "comment", "blank", "fields", "empty_name",
+                                                 "crlf", "cr"]))
+    s, t = draw(names), draw(names)
+    if kind == "two" or kind == "clean" and two_fields:
         return f"{s}\t{t}\n"
+    if kind in ("clean", "three"):
+        return f"{s}\t{t}\t{draw(CLEAN_COUNTS)}\n"
     if kind == "odd_count":
         return f"{s}\t{t}\t{draw(ODD_COUNTS)}\n"
     if kind == "padded":
         return f" {s}\t{t}\u3000\t1\n"  # an ASCII and an ideographic space
     if kind == "comment":
-        return draw(st.sampled_from(["# comment\n", "  # a\tb\t1\n", "#a\tb\t1\n"]))
+        return draw(st.sampled_from(["# comment\n", "  # a\tb\t1\n", "#a\tb\t1\n",
+                                     WRITER_HEADER]))
     if kind == "blank":
         return draw(st.sampled_from(["\n", "   \n", "\t\n"]))
     if kind == "fields":
         return draw(st.sampled_from(["a\n", "a\tb\t1\t2\n", "a\tb\t\t1\n"]))
     if kind == "empty_name":
         return draw(st.sampled_from(["\tb\t1\n", "a\t \t1\n"]))
+    if kind == "cr":
+        return f"{s}\t{t}\r"  # a lone CR: a line end in a file, not in a StringIO
     return f"{s}\t{t}\t1\r\n"
 
 
 @st.composite
-def edge_texts(draw):
-    text = "".join(draw(st.lists(edge_lines(), max_size=40)))
+def edge_texts(draw, names=NAMES | SURROGATE_NAMES):
+    """Edge lists of mostly clean lines, all of 3 fields or all of 2, after
+    the writer's header or not."""
+    lines = edge_lines(two_fields=draw(st.booleans()), names=names)
+    text = draw(st.sampled_from(["", WRITER_HEADER])) + "".join(draw(st.lists(lines, max_size=40)))
     if text and draw(st.booleans()):
         text = text[:-1]  # the last line without its newline
     return text
@@ -243,7 +286,7 @@ def compare_outcomes(expected, got):
 @example(text="a\tb\t1\r\nb\tc\t1\n", chars=100)
 def test_edge_list_blocks_match_the_per_line_loader(text, chars):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(textio, "_BLOCK_CHARS", chars)
+        mp.setattr(graph, "_BLOCK_BYTES", chars)
         expected = outcome(reference_load_edge_list, text)
         got = outcome(load_edge_list, text)
     if compare_outcomes(expected, got):
@@ -256,21 +299,97 @@ def test_edge_list_blocks_match_the_per_line_loader(text, chars):
         assert b.content_hash() == a.content_hash()
 
 
-def test_only_odd_blocks_take_the_per_line_parser(monkeypatch):
-    """Clean blocks take the bulk pass, so the property test above compares
-    two different code paths."""
+def same_graph(a: DirectedGraph, b: DirectedGraph) -> None:
+    assert b.names == a.names
+    for attr in ("indptr", "indices", "data"):
+        x, y = getattr(a.adj, attr), getattr(b.adj, attr)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert b.content_hash() == a.content_hash()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_texts(names=NAMES), chars=st.integers(1, 200))
+@example(text="a\tb\t1\rb\tc\t2\r\nc\ta\n", chars=100)
+@example(text="a\tb\r\nc\td\rc\n", chars=4)  # a CRLF split between two reads
+def test_edge_list_files_match_the_per_line_loader(text, chars, tmp_path_factory):
+    """Read from a path: the same graph as text mode reads (any line end),
+    and the digest of the file's bytes."""
+    path = tmp_path_factory.getbasetemp() / "edges.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with path.open(encoding="utf-8") as f:
+        expected = outcome(lambda _: reference_load_edge_list(f), text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_BYTES", chars)
+        got = outcome(lambda _: load_edge_list(path), text)
+    if compare_outcomes(expected, got):
+        a, b = expected[1], got[1]
+        same_graph(a, b)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert b.ingest == dataclasses.replace(a.ingest, sha256=digest)
+
+
+def test_a_stream_that_splits_lines_at_a_cr_is_read_as_it_splits_them():
+    """A stream opened with newline='' ends a line at a lone CR, where the
+    byte pass would not: its blocks go to the per-line parser as given."""
+    with pytest.raises(ParseError) as err:
+        load_edge_list(io.StringIO("a\tb\rc\n", newline=""))
+    assert err.value.line_no == 2
+    text = "a\tb\rb\tc\r\nc\ta\n"
+    expected = reference_load_edge_list(io.StringIO(text, newline=""))
+    same_graph(expected, load_edge_list(io.StringIO(text, newline="")))
+
+
+def full_outcome(text):
+    """load_edge_list's graph, or its ParseError's text and line number."""
+    try:
+        return load_edge_list(io.StringIO(text))
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edge_texts(), chars=st.integers(1, 200))
+@example(text="a\tb\t1\nb\tc\t1\nc\ta\t1\n", chars=200)
+def test_names_sharing_a_key_are_never_merged(text, chars):
+    """With every name given one key, each match is refuted byte for byte:
+    the same graph, or the same error at the same line."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_BYTES", chars)
+        expected = full_outcome(text)
+        mp.setattr(graph, "_name_keys", lambda words, starts, lengths: np.zeros(len(starts), np.uint64))
+        got = full_outcome(text)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        same_graph(expected, got)
+        assert got.ingest == expected.ingest
+
+
+def test_only_odd_blocks_take_the_per_line_parser(monkeypatch, tmp_path):
+    """Clean blocks take the byte pass, comments and the writer's header
+    included, so the property tests above compare two different code paths."""
     per_line_blocks = []
     parse_lines = graph._parse_edge_lines
 
     def spy(lines, *args):
         per_line_blocks.append(lines)
-        parse_lines(lines, *args)
+        return parse_lines(lines, *args)
 
-    monkeypatch.setattr(textio, "_BLOCK_CHARS", 16)  # three 6-character lines a block
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 16)
     monkeypatch.setattr(graph, "_parse_edge_lines", spy)
-    g = load_edge_list(io.StringIO("a\tb\t1\n" * 10 + "# note\n" + "b\tc\t2\n" * 10))
-    assert g.ingest.lines == 20 and g.total_edge_weight == 30
-    assert per_line_blocks == [["a\tb\t1\n", "# note\n", "b\tc\t2\n"]]
+    names = [f"n{i}" for i in range(30)]
+    written = DirectedGraph.from_edges(names, np.arange(30), (np.arange(30) * 7) % 30, np.arange(1, 31))
+    three, two = tmp_path / "three.tsv", tmp_path / "two.tsv"
+    write_edge_list(written, three)
+    two.write_text("# links\n" + "".join(f"n{i}\tn{(i * 7) % 30}\n# note\n\n" for i in range(30)))
+    assert load_edge_list(three).same_structure(written)
+    assert load_edge_list(two).total_edge_weight == 30
+    assert per_line_blocks == []
+
+    # A caller's stream gives blocks of three 6-character lines.
+    g = load_edge_list(io.StringIO("a\tb\t1\n" * 10 + " a\tc\t2\n" + "b\tc\t2\n" * 10))
+    assert g.ingest.lines == 21 and g.total_edge_weight == 32
+    assert per_line_blocks == [["a\tb\t1\n", " a\tc\t2\n", "b\tc\t2\n"]]
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e-300, 0.1, 5e-324])
@@ -309,7 +428,7 @@ def table_lines(draw):
 
 
 @st.composite
-def table_texts(draw):
+def odd_table_texts(draw):
     head = draw(st.sampled_from(["", "# alpha=0.85 tol=1e-10\n", "\n# n=3\n"]))
     header = draw(st.sampled_from(["\t".join(_TABLE_COLUMNS) + "\n"] * 5 + ["name\tpagerank\n", ""]))
     text = head + header + "".join(draw(st.lists(table_lines(), max_size=40)))
@@ -318,9 +437,48 @@ def table_texts(draw):
     return text
 
 
+def int_forms(value: int) -> list[str]:
+    """Texts int() reads as value."""
+    digits = str(value)
+    return [digits, f" {digits}", f"{digits} ", f"+{digits}", f"0{digits}",
+            "".join(chr(0x660 + int(d)) for d in digits)]
+
+
+@st.composite
+def whole_table_texts(draw):
+    """Tables a solve could have written, each number in any text float() or
+    int() reads the same, some with a row repeated or dropped, a rank
+    changed, or a header that gives another size."""
+    n = draw(st.integers(1, 8))
+    columns = []
+    for _ in range(2):
+        weights = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+        columns.append([w / sum(weights) for w in weights])
+    ranks = [draw(st.permutations(range(1, n + 1))) for _ in range(3)]
+    rows = []
+    for i in range(n):
+        floats = [draw(st.sampled_from([repr(p), f" {p!r}", f"{p!r} "])) for p in (c[i] for c in columns)]
+        ints = [draw(st.sampled_from(int_forms(r[i]))) for r in ranks]
+        rows.append([draw(NAMES), floats[0], ints[0], floats[1], ints[1], ints[2]])
+    fault = draw(st.sampled_from(["none"] * 4 + ["repeat", "drop", "rank"]))
+    if fault == "repeat":
+        rows.append(rows[draw(st.integers(0, n - 1))])
+    elif fault == "drop" and n > 1:
+        del rows[draw(st.integers(0, n - 1))]
+    elif fault == "rank":
+        rows[draw(st.integers(0, n - 1))][draw(st.sampled_from([2, 4, 5]))] = str(draw(st.integers(0, n + 1)))
+    head = draw(st.sampled_from(["", f"# alpha=0.85 n_nodes={n}\n", f"# n_nodes={n + 1}\n",
+                                 f"# n_nodes=99 subset_size={n}\n"]))
+    return head + "\t".join(_TABLE_COLUMNS) + "\n" + "".join("\t".join(r) + "\n" for r in rows)
+
+
+table_texts = st.one_of(odd_table_texts(), whole_table_texts())
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=table_texts(), chars=st.integers(1, 300))
+@given(text=table_texts, chars=st.integers(1, 300))
 @example(text="a\t0.5\t1\t0.5\t1\t1\n", chars=100)
+@example(text="\t".join(_TABLE_COLUMNS) + "\na\t1.0\t1\t1.0\t1\t1\n", chars=100)
 @example(
     text="\t".join(_TABLE_COLUMNS) + "\na\t1_0\t ١٢\t-nan\t1_0\t+7 \nb\t1e400\t-0\t.5\t2\t3\n",
     chars=300,
@@ -328,7 +486,7 @@ def table_texts(draw):
 def test_rank_table_blocks_match_the_per_line_reader(text, chars):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textio, "_BLOCK_CHARS", chars)
-        expected = outcome(reference_read_rank_table, text)
+        expected = outcome(lambda s: reference_check_table(reference_read_rank_table(s)), text)
         got = outcome(read_rank_table, text)
     if compare_outcomes(expected, got):
         a, b = expected[1], got[1]
