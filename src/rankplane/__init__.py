@@ -27,12 +27,12 @@ _EXPORTS = {
     "DegreeHistogram": "graph",
     "DirectedGraph": "graph",
     "IngestStats": "graph",
-    "NodeSubset": "graph",
-    "SubsetReport": "graph",
     "invert": "graph",
     "load_edge_list": "graph",
-    "load_node_subset": "graph",
     "write_edge_list": "graph",
+    "NodeSubset": "textio",
+    "SubsetReport": "textio",
+    "load_node_subset": "textio",
     "GoogleOperator": "googlerank",
     "RankVector": "googlerank",
     "cheirank": "googlerank",

@@ -47,8 +47,8 @@ def _fit_range(text: str) -> tuple[float, float]:
 
 
 # ---- commands ---------------------------------------------------------------
-# Each imports only the modules it runs: `overlap curve` and `overlap window`
-# start without NumPy, the commands that read tables without SciPy.
+# Each imports only the modules it runs: the `overlap` commands start without
+# NumPy, the commands that read tables without SciPy.
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -191,10 +191,10 @@ def cmd_overlap_window(args: argparse.Namespace) -> int:
 
 
 def cmd_overlap_subset_window(args: argparse.Namespace) -> int:
-    from . import graph, overlap
+    from . import overlap, textio
     ranking = overlap.load_ranked_list(args.ranking)
     positions = {name: i for i, name in enumerate(ranking.names)}
-    subset, _ = graph.load_node_subset(
+    subset, _ = textio.load_node_subset(
         args.subset, positions, label=Path(args.subset).stem, strict=True
     )
     series = overlap.subset_window_fraction(ranking, subset, window=args.window)
@@ -208,10 +208,10 @@ def cmd_overlap_subset_window(args: argparse.Namespace) -> int:
 
 
 def cmd_subset(args: argparse.Namespace) -> int:
-    from . import graph, twodrank
+    from . import textio, twodrank
     table = twodrank.read_rank_table(args.table)
     label = args.label or Path(args.subset).stem
-    subset, report = graph.load_node_subset(
+    subset, report = textio.load_node_subset(
         args.subset, table.name_index, label=label, strict=args.strict
     )
     sub_table = twodrank.subset_rank(table, subset)

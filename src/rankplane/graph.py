@@ -1,4 +1,4 @@
-"""Directed multigraph storage, edge-list ingestion, and degree statistics.
+"""Directed multigraph storage, the edge-list format, and degree statistics.
 
 The graph is immutable after construction: a CSR adjacency (row = source,
 column = target, value = link multiplicity) plus a dense node-id table in
@@ -11,22 +11,19 @@ from __future__ import annotations
 import hashlib
 import io
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .textio import (
-    COMMENT_CHAR,
-    joined_fields,
-    line_blocks,
-    name_lines,
-    open_text,
-    row_blocks,
-    tsv_block,
-)
+from .textio import COMMENT_CHAR, joined_fields, line_blocks, open_text, row_blocks, tsv_block
+
+# Subsets are read by textio.  The benchmark's tracer (perfbench/tracing.py)
+# still times them under this name; drop the line with ROADMAP §1's
+# benchmark change, which retires the tracer's name list.
+from .textio import load_node_subset  # noqa: F401
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -641,11 +638,12 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
     """Serialize in canonical CSR order; reloading reproduces the graph.
 
     Refused before anything is written: a name that is empty, padded or holds
-    a tab, CR or LF, and an edge source named '#…', whose line is a comment.
+    a tab, CR or LF, one a path cannot hold in UTF-8, and an edge source
+    named '#…', whose line is a comment.
     """
     names = g.names
     indptr, indices, data = g.adj.indptr, g.adj.indices, g.adj.data
-    text = joined_fields(names)
+    text = joined_fields(names, target)
     if not (names and all(names) and list(map(str.strip, names)) == names):
         raise ContractViolation("no node, or a node name that is empty or padded")
     if "\n" + COMMENT_CHAR in "\n" + text:
@@ -664,64 +662,3 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
                     map(str, data[rows].tolist()),
                 )
             )
-
-
-# ---- node subsets ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NodeSubset:
-    """Named, ordered collection of node indices (category members)."""
-
-    label: str
-    members: tuple[int, ...]
-    names: tuple[str, ...] = field(repr=False, default=())
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class SubsetReport:
-    resolved: int
-    duplicates: int
-    unresolved: tuple[str, ...]
-
-
-def load_node_subset(
-    source: str | Path | IO[str],
-    name_index: Mapping[str, int],
-    label: str = "subset",
-    strict: bool = True,
-) -> tuple[NodeSubset, SubsetReport]:
-    """Resolve a one-name-per-line file against a node table.
-
-    Duplicated names keep their first occurrence.  In strict mode any
-    unresolved name aborts with its line number; in lenient mode unresolved
-    names are collected in the report and skipped.
-    """
-    members: list[int] = []
-    member_names: list[str] = []
-    seen: set[str] = set()
-    duplicates = 0
-    unresolved: list[str] = []
-    with open_text(source) as stream:
-        for line_no, name in name_lines(stream):
-            if name in seen:
-                duplicates += 1
-                continue
-            seen.add(name)
-            idx = name_index.get(name)
-            if idx is None:
-                if strict:
-                    raise ParseError(f"unknown node name {name!r}", line_no)
-                unresolved.append(name)
-                continue
-            members.append(idx)
-            member_names.append(name)
-
-    subset = NodeSubset(label=label, members=tuple(members), names=tuple(member_names))
-    report = SubsetReport(
-        resolved=len(members), duplicates=duplicates, unresolved=tuple(unresolved)
-    )
-    return subset, report

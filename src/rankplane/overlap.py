@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO
 
 from .errors import ContractViolation, ParseError
-from .textio import name_lines, open_text, read_series, write_series
-
-if TYPE_CHECKING:
-    from .graph import NodeSubset
+from .textio import NodeSubset, name_lines, read_series, write_series
 
 SERIES_KINDS = ("cumulative_f", "window_fw", "subset_fw")
 
@@ -61,13 +58,10 @@ def load_ranked_list(source: str | Path | IO[str]) -> RankedList:
     """One name per line, best rank first; '#' lines before the first name
     are comments."""
     names: list[str] = []
-    seen: set[str] = set()
-    with open_text(source) as stream:
-        for line_no, name in name_lines(stream):
-            if name in seen:
-                raise ParseError(f"duplicate name {name!r}", line_no)
-            seen.add(name)
-            names.append(name)
+    for line_no, name, repeated in name_lines(source):
+        if repeated:
+            raise ParseError(f"duplicate name {name!r}", line_no)
+        names.append(name)
     if not names:
         raise ParseError("ranked list is empty")
     return RankedList(names=tuple(names))

@@ -1,8 +1,8 @@
 """The text formats the modules share: column files (an optional '# key=value'
 header line, a column line, one row per point), name files (one name per
-line), and the line blocks both are read and written in.  Only the
-converters of number columns import NumPy, so the commands that read and
-write names start without it.
+line) and the node subsets read from them, and the line blocks both are read
+and written in.  Only the converters of number columns import NumPy, so the
+commands that read and write names start without it.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import ast
 import contextlib
 import re
 from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, ContextManager, Iterable, Iterator, Mapping
 
@@ -18,10 +19,11 @@ from .errors import ContractViolation, ParseError
 
 COMMENT_CHAR = "#"
 
-# Text files are read about _BLOCK_CHARS characters of whole lines at a time
-# and written _BLOCK_ROWS rows at a time.  Both are bounded on purpose:
-# holding a whole 15 MB edge list as text raises the peak memory of `rank`
-# from about 122 MB to 188 MB.
+# Column files and name files, from a path or a caller's stream, are read
+# about _BLOCK_CHARS characters of whole lines at a time (the edge-list reader
+# sizes its own blocks), and every text file is written _BLOCK_ROWS rows at a
+# time.  Both are bounded so that no file is held whole as text: the rank
+# table of 10^6 nodes is 74 MB of it.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 13
 
@@ -68,16 +70,18 @@ def write_series(
     whitespace or starts with a quote is quoted by repr, so read_header
     returns every header value's str exactly.  A header key that is empty or
     holds whitespace or '=' would read back as another key, and is refused
-    before anything is written."""
+    before anything is written, as is a header a path cannot hold in UTF-8."""
     for key in meta or ():
         if not _HEADER_KEY.fullmatch(str(key)):
             raise ContractViolation(f"header key {key!r} is empty or holds whitespace or '='")
+    head = sep.join(columns) + "\n"
+    if meta:
+        texts = zip(meta, map(str, meta.values()))
+        pairs = (f"{k}={repr(v) if _QUOTED.search(v) else v}" for k, v in texts)
+        head = "# " + " ".join(pairs) + "\n" + head
+    _check_utf8(head, target, "the header")
     with open_text(target, "w") as out:
-        if meta:
-            texts = zip(meta, map(str, meta.values()))
-            pairs = (f"{k}={repr(v) if _QUOTED.search(v) else v}" for k, v in texts)
-            out.write("# " + " ".join(pairs) + "\n")
-        out.write(sep.join(columns) + "\n")
+        out.write(head)
         for rows in row_blocks(min(map(len, columns.values()))):
             blocks = (column[rows] for column in columns.values())
             fields = (map(str, b.tolist() if hasattr(b, "tolist") else b) for b in blocks)
@@ -143,15 +147,20 @@ def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep
     """Append a block of plain rows to the columns in one pass.
 
     Returns False, having changed nothing, when any line needs the per-line
-    parser: a blank line, a line starting with '#', a wrong field count or a
-    value that does not convert.
+    parser: a blank line, a line starting with '#' or without its line end, a
+    wrong field count or a value that does not convert.
     """
     import numpy as np
 
-    tokens = split_block(lines, len(columns), sep)
-    if tokens is None:
+    text = "".join(lines)
+    if text.startswith(COMMENT_CHAR) or "\n" + COMMENT_CHAR in text:
         return False
-    width = len(columns) + 1
+    # One "\n" token per line: finding all of them at the row-closing
+    # positions proves that every line has len(columns) fields.
+    tokens = text.replace("\n", f"{sep}\n{sep}").split(sep)
+    n, width = len(lines), len(columns) + 1
+    if len(tokens) != width * n + 1 or tokens[width - 1 :: width].count("\n") != n:
+        return False
     try:
         blocks = [
             tokens[j:-1:width] if code == "U" else np.array(tokens[j:-1:width], dtype=code)
@@ -182,39 +191,70 @@ def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, list[str
         line_no += len(lines)
 
 
-def name_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
-    """Yield (line number, name) for each stripped line that is not blank.
+def name_lines(source: str | Path | IO[str]) -> Iterator[tuple[int, str, bool]]:
+    """Yield (line number, name, repeated) for each stripped line of a name
+    file that is not blank; repeated tells whether an earlier line held it.
 
     The column files' rule: a line starting with '#' is a comment only
     before the first name; after it, every line that is not blank is a name.
     """
-    named = False
-    for first_line_no, lines in line_blocks(stream):
-        for line_no, raw in enumerate(lines, start=first_line_no):
-            name = raw.strip()
-            if name and (named or not name.startswith(COMMENT_CHAR)):
-                named = True
-                yield line_no, name
+    seen: set[str] = set()
+    with open_text(source) as stream:
+        for first_line_no, lines in line_blocks(stream):
+            for line_no, raw in enumerate(lines, start=first_line_no):
+                name = raw.strip()
+                if name and (seen or not name.startswith(COMMENT_CHAR)):
+                    yield line_no, name, name in seen
+                    seen.add(name)
 
 
-def split_block(lines: list[str], n_fields: int, sep: str = "\t") -> list[str] | None:
-    """All fields of a block of lines, each row followed by a "\n" token.
+@dataclass(frozen=True)
+class NodeSubset:
+    """Named, ordered collection of node indices (category members)."""
 
-    None unless every line has exactly n_fields sep-separated fields, ends
-    in "\n" and does not start with the comment character; such blocks
-    need a per-line parser.
+    label: str
+    members: tuple[int, ...]
+    names: tuple[str, ...] = field(repr=False, default=())
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
+class SubsetReport:
+    resolved: int
+    duplicates: int
+    unresolved: tuple[str, ...]
+
+
+def load_node_subset(
+    source: str | Path | IO[str],
+    name_index: Mapping[str, int],
+    label: str = "subset",
+    strict: bool = True,
+) -> tuple[NodeSubset, SubsetReport]:
+    """Resolve a name file against a node table.
+
+    Duplicated names keep their first occurrence.  In strict mode any
+    unresolved name aborts with its line number; in lenient mode unresolved
+    names are collected in the report and skipped.
     """
-    text = "".join(lines)
-    if text.startswith(COMMENT_CHAR) or "\n" + COMMENT_CHAR in text:
-        return None
-    n = len(lines)
-    tokens = text.replace("\n", f"{sep}\n{sep}").split(sep)
-    # Each line yields exactly one "\n" token, so finding all n of them at the
-    # n row-closing positions proves that every line has n_fields fields.
-    width = n_fields + 1
-    if len(tokens) != width * n + 1 or tokens[n_fields::width].count("\n") != n:
-        return None
-    return tokens
+    members: list[int] = []
+    member_names: list[str] = []
+    duplicates = 0
+    unresolved: list[str] = []
+    for line_no, name, repeated in name_lines(source):
+        if repeated:
+            duplicates += 1
+        elif (idx := name_index.get(name)) is not None:
+            members.append(idx)
+            member_names.append(name)
+        elif strict:
+            raise ParseError(f"unknown node name {name!r}", line_no)
+        else:
+            unresolved.append(name)
+    subset = NodeSubset(label, tuple(members), tuple(member_names))
+    return subset, SubsetReport(len(members), duplicates, tuple(unresolved))
 
 
 def row_blocks(n_rows: int) -> Iterator[slice]:
@@ -234,11 +274,24 @@ def tsv_block(n_rows: int, *columns: Iterable[str], sep: str = "\t") -> str:
     return "".join(pieces)
 
 
-def joined_fields(names: list[str]) -> str:
-    """The names joined by LF, checked all at once: a name holding a tab, CR
-    or LF, which would not read back as one field of one line, is a
-    ContractViolation."""
+def joined_fields(names: list[str], target: str | Path | IO[str]) -> str:
+    """The names joined by LF, checked all at once for writing to target: a
+    name holding a tab, CR or LF, which would not read back as one field of
+    one line, is a ContractViolation, as is one a path cannot hold in UTF-8."""
     text = "\n".join(names)
     if "\t" in text or "\r" in text or text.count("\n") != max(len(names) - 1, 0):
         raise ContractViolation("a node name holds a tab, CR or LF")
+    _check_utf8(text, target, "a node name")
     return text
+
+
+def _check_utf8(text: str, target: str | Path | IO[str], what: str) -> None:
+    """Refuse, before a path is opened, text UTF-8 cannot encode: a lone
+    surrogate, as Python decodes an undecodable argument or file-name byte.
+    A caller's stream encodes as it was opened, if at all."""
+    if isinstance(target, (str, Path)):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            raise ContractViolation(f"{what} holds {bad!r}, which UTF-8 cannot encode") from None

@@ -39,8 +39,9 @@ from rankplane import (
     two_d_rank,
 )
 from rankplane.cli import main
-from rankplane.graph import NodeSubset, degree_distribution
+from rankplane.graph import degree_distribution
 from rankplane.netstats import density_grid, histogram_curve
+from rankplane.textio import NodeSubset
 
 
 # ---- criterion 1: dense-solve oracle for both rankings --------------------------

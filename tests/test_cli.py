@@ -494,11 +494,25 @@ def test_subset_command_strict_vs_lenient(random_edges, tmp_path, capsys):
     assert len(read_rank_table(tmp_path / "s.tsv")) == 2
 
 
+def test_subset_label_a_file_cannot_hold_exits_4(random_edges, tmp_path, capsys):
+    """An undecodable argument or file-name byte reaches Python as a lone
+    surrogate, which the UTF-8 table header cannot hold: refused, no file."""
+    table_path = rank_table_for(random_edges, tmp_path)
+    members = ["v01", "v02"]
+    odd_name = write_list(tmp_path / os.fsdecode(b"m\xff.txt"), members)
+    out = tmp_path / "s.tsv"
+    labelled = ["--label", "grp\udcff"]
+    for subset_file, extra in ((write_list(tmp_path / "m.txt", members), labelled), (odd_name, [])):
+        assert run("subset", table_path, subset_file, "-o", out, *extra) == 4
+        assert "udcff" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---- start-up ------------------------------------------------------------------------
 
-# Runs the overlap commands that need no NumPy, the analysis commands, then
-# synth, in one fresh interpreter and prints which modules were loaded after
-# each part.
+# Runs the overlap commands that need no NumPy, subset, the analysis
+# commands, then synth, in one fresh interpreter and prints which modules
+# were loaded after each part.
 SCIPY_PROBE = """\
 import json
 import sys
@@ -508,7 +522,9 @@ import rankplane.textio
 from rankplane.cli import main
 
 numpy_free = [main(argv) for argv in json.loads(sys.argv[3])]
-numpy_loaded = "numpy" in sys.modules
+numpy_loaded = sorted({"numpy", "rankplane.graph"} & set(sys.modules))
+subset_code = main(json.loads(sys.argv[4]))
+graph_after_subset = "rankplane.graph" in sys.modules
 exports = list(rankplane.__all__)
 unresolved = [name for name in exports if getattr(rankplane, name, None) is None]
 try:
@@ -523,8 +539,9 @@ def scipy_modules():
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 after_analysis = scipy_modules()
 synth = main(json.loads(sys.argv[2]))
-print(json.dumps([numpy_free, numpy_loaded, exports, unresolved, nope_raises,
-                  codes, after_analysis, synth, bool(scipy_modules())]))
+print(json.dumps([numpy_free, numpy_loaded, subset_code, graph_after_subset, exports,
+                  unresolved, nope_raises, codes, after_analysis, synth,
+                  bool(scipy_modules())]))
 """
 
 
@@ -533,8 +550,8 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
 
     The package itself imports nothing until a name is used: `import
     rankplane` loads no NumPy, and every exported name resolves on demand.
-    The text formats, the overlap module and the `overlap curve` and
-    `overlap window` commands load no NumPy either.
+    The text formats, the overlap module and the three `overlap` commands
+    load neither NumPy nor the graph module, and `subset` no graph module.
     """
     table = str(rank_table_for(random_edges, tmp_path))
     names = [f"v{i:02d}" for i in range(50)]
@@ -553,8 +570,8 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
         ["subset", table, marked, "-o", out],
     ]
     synth = ["synth", "150", "-o", str(tmp_path / "edges.tsv"), "--seed", "4"]
-    numpy_free = analysis[4:6]
-    probe_args = [json.dumps(argv) for argv in (analysis, synth, numpy_free)]
+    numpy_free = analysis[4:7]
+    probe_args = [json.dumps(argv) for argv in (analysis, synth, numpy_free, analysis[7])]
     result = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, *probe_args],
         capture_output=True,
@@ -564,11 +581,12 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     (
-        numpy_free_codes, numpy_loaded, exports, unresolved, nope_raises,
-        codes, after_analysis, synth_code, scipy_after_synth,
+        numpy_free_codes, numpy_loaded, subset_code, graph_after_subset, exports,
+        unresolved, nope_raises, codes, after_analysis, synth_code, scipy_after_synth,
     ) = json.loads(result.stdout.splitlines()[-1])
-    assert numpy_free_codes == [0, 0]
-    assert not numpy_loaded
+    assert numpy_free_codes == [0, 0, 0]
+    assert numpy_loaded == []
+    assert subset_code == 0 and not graph_after_subset
     assert exports and len(set(exports)) == len(exports)
     assert unresolved == []
     assert nope_raises

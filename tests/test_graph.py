@@ -164,6 +164,18 @@ def test_edge_list_writer_refuses_names_the_loader_would_change(names, tmp_path)
     assert not path.exists()
 
 
+def test_edge_list_writer_refuses_a_name_a_file_cannot_hold(tmp_path):
+    # A caller's stream can give a lone surrogate, which no UTF-8 file holds.
+    g = load("a\t\udc80\n")
+    path = tmp_path / "edges.tsv"
+    with pytest.raises(ContractViolation, match="udc80"):
+        write_edge_list(g, path)
+    assert not path.exists()
+    buf = io.StringIO()  # a stream encodes as it was opened, if at all
+    write_edge_list(g, buf)
+    assert load(buf.getvalue()).same_structure(g)
+
+
 def test_edge_list_writer_refuses_a_source_read_back_as_a_comment():
     g = load("a\t#b\nc\t#b\t2\na\tc\n")
     buf = io.StringIO()

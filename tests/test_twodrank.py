@@ -184,7 +184,8 @@ def test_numpy_scalar_header_values_are_written_as_numbers():
     assert buf.getvalue().splitlines()[0] == "# alpha=0.85 n=1"
 
 
-@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+# A lone surrogate does not break the line, but no UTF-8 file can hold it.
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "\udc80"])
 def test_table_writer_refuses_a_name_that_breaks_its_line(name, tmp_path):
     t = build_rank_table([name, "c"], [0.6, 0.4], [0.5, 0.5])
     path = tmp_path / "t.tsv"
