@@ -37,10 +37,9 @@ _EXPORTS = {
     "RankVector": "googlerank",
     "cheirank": "googlerank",
     "pagerank": "googlerank",
-    "RankIndex": "twodrank",
     "RankTable": "twodrank",
     "build_rank_table": "twodrank",
-    "rank_indices": "twodrank",
+    "rank_positions": "twodrank",
     "read_rank_table": "twodrank",
     "subset_rank": "twodrank",
     "two_d_rank": "twodrank",

@@ -12,8 +12,8 @@ overlap        curve / window / subset-window comparison CSVs
 subset         rank table + name file -> densely re-ranked sub-table
 
 Exit codes: 0 success, 2 parse/input error, 3 convergence failure,
-4 contract violation.  All data outputs are deterministic for a fixed
-input, configuration, and seed.
+4 contract violation (a size too large for memory included).  All data
+outputs are deterministic for a fixed input, configuration, and seed.
 """
 
 from __future__ import annotations
@@ -114,9 +114,8 @@ def cmd_stats_density(args: argparse.Namespace) -> int:
     from . import netstats, twodrank
     table = twodrank.read_rank_table(args.table)
     grid = netstats.density_grid(table, cells=args.cells)
-    netstats.write_density_grid(grid, args.output)
-    print(f"density grid {grid.cells}x{grid.cells} over {grid.n_samples} nodes -> {args.output}")
-    if args.null_samples:
+    null_grid = None
+    if args.null_samples is not None:  # sampled before any file is written
         if args.seed is None:
             raise ContractViolation("--null-samples requires --seed")
         _, p_curve = netstats.rank_curve(table.pagerank)
@@ -124,6 +123,9 @@ def cmd_stats_density(args: argparse.Namespace) -> int:
         n = args.null_samples
         ks, k_stars = netstats.sample_independent(p_curve, p_star_curve, n, args.seed)
         null_grid = netstats.grid_from_rank_pairs(ks, k_stars, n_ranks=len(table), cells=args.cells)
+    netstats.write_density_grid(grid, args.output)
+    print(f"density grid {grid.cells}x{grid.cells} over {grid.n_samples} nodes -> {args.output}")
+    if null_grid is not None:
         null_path = args.null_output or f"{args.output}.null.csv"
         netstats.write_density_grid(null_grid, null_path)
         print(f"null-model grid from {n} independent pairs -> {null_path}")
@@ -173,7 +175,7 @@ def cmd_overlap_curve(args: argparse.Namespace) -> int:
     from . import overlap
     a = overlap.load_ranked_list(args.list_a)
     b = overlap.load_ranked_list(args.list_b)
-    ks_max = args.ks_max or min(len(a), len(b))
+    ks_max = min(len(a), len(b)) if args.ks_max is None else args.ks_max
     series = overlap.overlap_curve(a, b, ks_max)
     overlap.write_overlap_series(series, args.output)
     print(f"overlap curve to ks={ks_max} -> {args.output}")
@@ -354,6 +356,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"rankplane: i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError as exc:
+        print(f"rankplane: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":

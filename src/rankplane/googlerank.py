@@ -169,8 +169,8 @@ def _power_iteration(
     (beta/alpha)^k times alpha's: each rider is beta's own power iteration,
     one vector update per step, and stops no later than alpha does.
     """
-    if not tol > 0.0:
-        raise ContractViolation(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ContractViolation(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
     for beta in sweep:

@@ -183,8 +183,8 @@ def _cell(x, h: float, cells: int) -> np.ndarray:
     return np.minimum((np.asarray(x) / h).astype(np.int64), cells - 1)
 
 
-# Pairs binned per step of grid_from_rank_pairs: its temporaries stay this
-# long however many pairs there are.
+# Pairs binned per step of grid_from_rank_pairs, and uniforms drawn per step
+# of _sample_curve: their temporaries stay this long however many there are.
 _BIN_BLOCK = 1 << 16
 
 
@@ -194,8 +194,8 @@ def grid_from_rank_pairs(
     """Bin (rank, rank*) pairs on the cells x cells log grid, a block at a time."""
     if n_ranks < 2:
         raise ContractViolation("need at least 2 ranks for a log-spaced grid")
-    if cells < 2:
-        raise ContractViolation("need at least 2 cells per axis")
+    if not 2 <= cells <= math.isqrt(np.iinfo(np.intp).max // 8):  # the grid's bytes
+        raise ContractViolation(f"need 2 cells per axis or more, and an addressable grid: {cells}")
     k = np.asarray(k, dtype=np.int64)
     k_star = np.asarray(k_star, dtype=np.int64)
     if len(k) != len(k_star):
@@ -386,7 +386,10 @@ def _sample_curve(curve: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
         raise ContractViolation("rank curve has negative entries")
     cum = np.cumsum(curve)
     cum[-1] = 1.0
-    ranks = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64, copy=False)
+    ranks = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _BIN_BLOCK):
+        uniforms = rng.random(min(_BIN_BLOCK, n - lo))
+        ranks[lo : lo + _BIN_BLOCK] = np.searchsorted(cum, uniforms, side="right")
     ranks += 1
     return ranks
 

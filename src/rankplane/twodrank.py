@@ -1,13 +1,13 @@
-"""Rank permutations and the two-dimensional combined rank.
+"""Rank positions and the two-dimensional combined rank.
 
-Probabilities become rank indices by stable descending sort (rank 1 is the
-largest probability; ties break toward the smaller node index).  The
-combined rank orders nodes by their first appearance on the boundary of the
-growing square [1..k] x [1..k] in the (pagerank rank, cheirank rank) plane:
-a node lands on the boundary at k = max of its two ranks, right-edge
-entries (pagerank rank = k) are listed before top-edge entries (cheirank
-rank = k), and the corner node of a square counts once, as a right-edge
-entry.
+A ranking is the int64 array of each node's 1-based rank, by stable
+descending sort of its probabilities (rank 1 is the largest; ties break
+toward the smaller node index).  The combined rank orders nodes by their
+first appearance on the boundary of the growing square [1..k] x [1..k] in
+the (pagerank rank, cheirank rank) plane: a node lands on the boundary at
+k = max of its two ranks, right-edge entries (pagerank rank = k) are listed
+before top-edge entries (cheirank rank = k), and the corner node of a
+square counts once, as a right-edge entry.
 """
 
 from __future__ import annotations
@@ -23,60 +23,38 @@ from .errors import ContractViolation, ParseError
 from .textio import NodeSubset, joined_fields, read_series, write_series
 
 
-@dataclass(frozen=True)
-class RankIndex:
-    """A rank permutation and its inverse.
-
-    order[r - 1] is the node holding rank r; position[i] is the (1-based)
-    rank of node i.
-    """
-
-    kind: str
-    order: np.ndarray
-    position: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.order)
+def _positions(order: np.ndarray) -> np.ndarray:
+    """The 1-based positions of a permutation: the inverse of order."""
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(1, len(order) + 1)
+    return position
 
 
-def rank_indices(values: np.ndarray, kind: str = "rank", tie_key: np.ndarray | None = None) -> RankIndex:
-    """Stable descending rank of a score vector.
+def rank_positions(values: np.ndarray, tie_key: np.ndarray | None = None) -> np.ndarray:
+    """Stable descending rank positions of a score vector.
 
     tie_key overrides the default node-index tie-break (used when re-ranking
     rows whose original index order is encoded in an existing rank column).
     """
     values = np.asarray(values, dtype=np.float64)
-    n = len(values)
     if tie_key is None:
-        order = np.argsort(-values, kind="stable")
-    else:
-        order = np.lexsort((np.asarray(tie_key), -values))
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(1, n + 1)
-    return RankIndex(kind=kind, order=order.astype(np.int64), position=position)
+        return _positions(np.argsort(-values, kind="stable"))
+    return _positions(np.lexsort((np.asarray(tie_key), -values)))
 
 
-def two_d_rank(k_index: RankIndex, k_star_index: RankIndex) -> RankIndex:
-    """Combined rank from square expansion over two rank permutations.
+def two_d_rank(k: np.ndarray, k_star: np.ndarray) -> np.ndarray:
+    """Combined rank positions from square expansion over two rankings.
 
     Node i first appears on the square boundary at side length
-    max(position, position*): on the right edge if position >= position*
-    (the corner case included), on the top edge otherwise.  Entry order is
+    max(k[i], k_star[i]): on the right edge if k[i] >= k_star[i] (the
+    corner case included), on the top edge otherwise.  Entry order is
     (side length, right-before-top), which this implements as one lexsort.
     """
-    n = len(k_index)
-    if len(k_star_index) != n:
-        raise ContractViolation(
-            f"rank permutations cover {n} and {len(k_star_index)} nodes"
-        )
-    k = k_index.position
-    k_star = k_star_index.position
-    entry_side = np.maximum(k, k_star)
+    k, k_star = np.asarray(k), np.asarray(k_star)
+    if len(k_star) != len(k):
+        raise ContractViolation(f"rank permutations cover {len(k)} and {len(k_star)} nodes")
     top_edge = (k_star > k).astype(np.int8)
-    order = np.lexsort((top_edge, entry_side)).astype(np.int64)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(1, n + 1)
-    return RankIndex(kind="rank2d", order=order, position=position)
+    return _positions(np.lexsort((top_edge, np.maximum(k, k_star))))
 
 
 @dataclass
@@ -112,10 +90,9 @@ def _ranked_table(
     names: list[str], pagerank: np.ndarray, cheirank: np.ndarray, meta: dict, ties=(None, None)
 ) -> RankTable:
     """The table of both probability columns ranked (ties by `ties`, else by row) and combined."""
-    k_idx = rank_indices(pagerank, "pagerank_rank", ties[0])
-    k_star_idx = rank_indices(cheirank, "cheirank_rank", ties[1])
-    rank2d = two_d_rank(k_idx, k_star_idx).position
-    return RankTable(names, pagerank, cheirank, k_idx.position, k_star_idx.position, rank2d, meta)
+    k = rank_positions(pagerank, ties[0])
+    k_star = rank_positions(cheirank, ties[1])
+    return RankTable(names, pagerank, cheirank, k, k_star, two_d_rank(k, k_star), meta)
 
 
 def build_rank_table(

@@ -253,6 +253,66 @@ def test_nan_tolerance_exits_4(random_edges, tmp_path, capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
+# Every numeric flag of every command at its edge values ("{v}" marks the
+# probed value).  10**18 is refused by NumPy before it allocates anything.
+INT_EDGES = ("0", "-1", str(10**18))
+FLOAT_EDGES = ("0", "-1", "inf", "nan", "1e18")
+PROBED_FLAGS = [
+    (("synth", "{v}", "--seed", "3"), INT_EDGES),
+    (("synth", "300", "--seed", "{v}"), INT_EDGES),
+    *((("synth", "300", "--seed", "3", flag, "{v}"), FLOAT_EDGES)
+      for flag in ("--mu-in", "--mu-out", "--mean-degree")),
+    *((("rank", "{edges}", flag, "{v}"), FLOAT_EDGES) for flag in ("--alpha", "--alpha-star", "--tol")),
+    *((("rank", "{edges}", flag, "{v}"), INT_EDGES) for flag in ("--max-iter", "--workers")),
+    (("stats", "density", "{table}", "--cells", "{v}"), INT_EDGES),
+    (("stats", "density", "{table}", "--null-samples", "{v}", "--seed", "3"), INT_EDGES),
+    (("stats", "density", "{table}", "--null-samples", "5", "--seed", "{v}"), INT_EDGES),
+    (("stats", "slice", "{table}", "--x0", "{v}"), FLOAT_EDGES),
+    (("stats", "slice", "{table}", "--x0", "1", "--cells", "{v}"), INT_EDGES),
+    (("stats", "fitcurve", "{table}", "--bins", "{v}"), INT_EDGES),
+    (("overlap", "curve", "{a}", "{b}", "--ks-max", "{v}"), INT_EDGES),
+    (("overlap", "window", "{a}", "{b}", "--window", "{v}"), INT_EDGES),
+    (("overlap", "subset-window", "{a}", "{members}", "--window", "{v}"), INT_EDGES),
+]
+# Values that a flag documents as meaningful, not as a refusal.
+DOCUMENTED_EDGES = {("--seed", "0"), ("--x0", "0")}
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("probe")
+    edges, table = root / "edges.tsv", root / "table.tsv"
+    assert run("synth", 300, "--seed", 3, "-o", edges) == 0
+    assert run("rank", edges, "-o", table) == 0
+    ranked = read_rank_table(table)
+    a = write_list(root / "a.txt", ranked.names_by("pagerank_rank"))
+    b = write_list(root / "b.txt", ranked.names_by("cheirank_rank"))
+    members = write_list(root / "members.txt", ranked.names[:30])
+    return dict(edges=edges, table=table, a=a, b=b, members=members)
+
+
+@pytest.mark.parametrize(
+    "template, value",
+    [(template, value) for template, values in PROBED_FLAGS for value in values],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else x,
+)
+def test_edge_flag_values_exit_cleanly_or_refuse_before_writing(
+    template, value, probe_inputs, tmp_path, capsys
+):
+    argv = [arg.format(v=value, **probe_inputs) for arg in template]
+    try:
+        code = main([*argv, "-o", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    if code != 0:
+        assert list(tmp_path.iterdir()) == []
+    flag = template[template.index("{v}") - 1]
+    if value not in (str(10**18), "1e18") and (flag, value) not in DOCUMENTED_EDGES:
+        assert code in (2, 4)
+
+
 def test_unknown_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run("rank", "x.tsv", "-o", "y.tsv", "--frobnicate")

@@ -458,6 +458,33 @@ def test_sample_independent_validates_the_curves():
         sample_independent(np.array([1.0]), np.array([1.0]), 0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "length", [1, _BIN_BLOCK - 1, _BIN_BLOCK, 3 * _BIN_BLOCK + 17]
+)
+def test_null_model_draws_in_blocks_like_one_draw(length):
+    weights = np.arange(1, 1001, dtype=np.float64) ** -1.2
+    curve = weights / weights.sum()
+    ks, k_stars = sample_independent(curve, curve[::-1], length, seed=length)
+    for got, c, seed in ((ks, curve, length), (k_stars, curve[::-1], length + 1)):
+        cum = np.cumsum(c)
+        cum[-1] = 1.0
+        uniforms = np.random.default_rng(seed).random(length)
+        np.testing.assert_array_equal(got, np.searchsorted(cum, uniforms, side="right") + 1)
+        assert got.dtype == np.int64
+
+
+def test_null_model_temporaries_do_not_scale_with_the_samples():
+    weights = np.arange(1, 100_001, dtype=np.float64) ** -1.2
+    curve = weights / weights.sum()
+    tracemalloc.start()
+    try:
+        sample_independent(curve, curve, 10**6, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6  # the two returned rank arrays alone are 16 MB
+
+
 # ---- scale-free generator -------------------------------------------------------
 
 

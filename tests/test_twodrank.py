@@ -15,9 +15,8 @@ from rankplane import (
     ContractViolation,
     NodeSubset,
     ParseError,
-    RankIndex,
     build_rank_table,
-    rank_indices,
+    rank_positions,
     read_rank_table,
     subset_rank,
     two_d_rank,
@@ -46,28 +45,22 @@ def naive_square_scan(k_pos, k_star_pos):
     return ranks
 
 
-def index_from_positions(pos, kind="rank"):
-    pos = np.asarray(pos, dtype=np.int64)
-    order = np.argsort(pos)
-    return RankIndex(kind=kind, order=order, position=pos)
-
-
 def test_three_node_hand_example():
     # (K, K*): a = (1,2), b = (2,1), c = (3,3)  ->  K2: b, a, c
-    k = index_from_positions([1, 2, 3])
-    k_star = index_from_positions([2, 1, 3])
+    k = np.asarray([1, 2, 3], dtype=np.int64)
+    k_star = np.asarray([2, 1, 3], dtype=np.int64)
     out = two_d_rank(k, k_star)
-    np.testing.assert_array_equal(out.position, [2, 1, 3])
-    np.testing.assert_array_equal(out.order, [1, 0, 2])
+    np.testing.assert_array_equal(out, [2, 1, 3])
+    np.testing.assert_array_equal(np.argsort(out), [1, 0, 2])
 
 
 def test_exhaustive_small_against_oracle():
     for n in range(1, 6):
         identity = np.arange(1, n + 1)
-        k = index_from_positions(identity)
+        k = np.asarray(identity, dtype=np.int64)
         for perm in itertools.permutations(range(1, n + 1)):
-            k_star = index_from_positions(perm)
-            got = two_d_rank(k, k_star).position
+            k_star = np.asarray(perm, dtype=np.int64)
+            got = two_d_rank(k, k_star)
             np.testing.assert_array_equal(got, naive_square_scan(identity, perm))
 
 
@@ -77,8 +70,8 @@ def test_random_permutation_pairs_against_oracle():
         k_pos = rng.permutation(n) + 1
         k_star_pos = rng.permutation(n) + 1
         got = two_d_rank(
-            index_from_positions(k_pos), index_from_positions(k_star_pos)
-        ).position
+            np.asarray(k_pos, dtype=np.int64), np.asarray(k_star_pos, dtype=np.int64)
+        )
         np.testing.assert_array_equal(got, naive_square_scan(k_pos, k_star_pos))
 
 
@@ -86,42 +79,48 @@ def test_two_d_rank_is_a_permutation():
     rng = np.random.default_rng(9)
     n = 64
     out = two_d_rank(
-        index_from_positions(rng.permutation(n) + 1),
-        index_from_positions(rng.permutation(n) + 1),
+        np.asarray(rng.permutation(n) + 1, dtype=np.int64),
+        np.asarray(rng.permutation(n) + 1, dtype=np.int64),
     )
-    assert sorted(out.position) == list(range(1, n + 1))
-    np.testing.assert_array_equal(out.position[out.order], np.arange(1, n + 1))
+    assert sorted(out) == list(range(1, n + 1))
+    np.testing.assert_array_equal(out[np.argsort(out)], np.arange(1, n + 1))
 
 
 def test_two_d_rank_length_mismatch():
     with pytest.raises(ContractViolation):
-        two_d_rank(index_from_positions([1, 2]), index_from_positions([1]))
+        two_d_rank(np.asarray([1, 2], dtype=np.int64), np.asarray([1], dtype=np.int64))
 
 
 def test_identical_rankings_pass_through():
     pos = np.array([3, 1, 2])
-    out = two_d_rank(index_from_positions(pos), index_from_positions(pos))
-    np.testing.assert_array_equal(out.position, pos)
+    out = two_d_rank(np.asarray(pos, dtype=np.int64), np.asarray(pos, dtype=np.int64))
+    np.testing.assert_array_equal(out, pos)
+
+
+def test_two_d_rank_takes_plain_lists():
+    # lists would compare lexicographically under `>`; positions compare per node
+    np.testing.assert_array_equal(two_d_rank([1, 2, 3], [2, 1, 3]), [2, 1, 3])
+    np.testing.assert_array_equal(two_d_rank([2, 1], [1, 2]), [1, 2])
 
 
 # ---- scalar ranking ----------------------------------------------------------
 
 
 def test_rank_indices_descending():
-    idx = rank_indices(np.array([0.1, 0.7, 0.2]))
-    np.testing.assert_array_equal(idx.position, [3, 1, 2])
-    np.testing.assert_array_equal(idx.order, [1, 2, 0])
+    position = rank_positions(np.array([0.1, 0.7, 0.2]))
+    np.testing.assert_array_equal(position, [3, 1, 2])
+    np.testing.assert_array_equal(np.argsort(position), [1, 2, 0])
 
 
 def test_rank_indices_ties_break_by_node_index():
-    idx = rank_indices(np.array([0.25, 0.5, 0.25]))
-    np.testing.assert_array_equal(idx.position, [2, 1, 3])
+    position = rank_positions(np.array([0.25, 0.5, 0.25]))
+    np.testing.assert_array_equal(position, [2, 1, 3])
 
 
 def test_rank_indices_tie_key_override():
     # same scores, but the tie key reverses the preference
-    idx = rank_indices(np.array([0.25, 0.5, 0.25]), tie_key=np.array([9, 0, 1]))
-    np.testing.assert_array_equal(idx.position, [3, 1, 2])
+    position = rank_positions(np.array([0.25, 0.5, 0.25]), tie_key=np.array([9, 0, 1]))
+    np.testing.assert_array_equal(position, [3, 1, 2])
 
 
 # ---- rank tables -------------------------------------------------------------
