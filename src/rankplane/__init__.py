@@ -24,14 +24,12 @@ _EXPORTS = {
     "ContractViolation": "errors",
     "ConvergenceError": "errors",
     "ParseError": "errors",
-    "DegreeHistogram": "graph",
     "DirectedGraph": "graph",
     "IngestStats": "graph",
     "invert": "graph",
     "load_edge_list": "graph",
     "write_edge_list": "graph",
     "NodeSubset": "textio",
-    "SubsetReport": "textio",
     "load_node_subset": "textio",
     "GoogleOperator": "googlerank",
     "RankVector": "googlerank",

@@ -213,16 +213,13 @@ def cmd_subset(args: argparse.Namespace) -> int:
     from . import textio, twodrank
     table = twodrank.read_rank_table(args.table)
     label = args.label or Path(args.subset).stem
-    subset, report = textio.load_node_subset(
+    subset, unresolved = textio.load_node_subset(
         args.subset, table.name_index, label=label, strict=args.strict
     )
     sub_table = twodrank.subset_rank(table, subset)
     twodrank.write_rank_table(sub_table, args.output)
-    if report.unresolved:
-        print(
-            f"warning: skipped {len(report.unresolved)} unresolved name(s)",
-            file=sys.stderr,
-        )
+    if unresolved:
+        print(f"warning: skipped {len(unresolved)} unresolved name(s)", file=sys.stderr)
     print(f"re-ranked {len(sub_table)}-member subset {label!r} -> {args.output}")
     return EXIT_OK
 

@@ -13,7 +13,7 @@ import io
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -31,25 +31,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class IngestStats:
-    """What the loader saw: raw records vs. the merged graph."""
+    """What only the loader saw.  The merged graph gives the rest: its
+    n_edges, self_loop_count(), and lines - n_edges duplicates merged."""
 
-    lines: int
-    edges: int
-    self_loops: int
-    duplicates_merged: int
+    lines: int  # edge records before merging
     sha256: str | None = None  # of the file read; None for a caller's stream
-
-
-@dataclass(frozen=True)
-class DegreeHistogram:
-    """Map degree -> number of nodes with that degree (degree-0 included)."""
-
-    direction: str  # "in" | "out"
-    weighted: bool
-    counts: Mapping[int, int]
-
-    def total_nodes(self) -> int:
-        return sum(self.counts.values())
 
 
 class DirectedGraph:
@@ -207,8 +193,9 @@ def invert(g: DirectedGraph) -> DirectedGraph:
     return inverse
 
 
-def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True) -> DegreeHistogram:
-    """Histogram of in- or out-degrees over all nodes.
+def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True) -> dict[int, int]:
+    """Degree -> number of nodes with that in- or out-degree, over all nodes
+    (degree 0 included).
 
     By default an edge of multiplicity m contributes m (consistent with the
     stochastic-matrix column weights); weighted=False counts distinct
@@ -223,11 +210,7 @@ def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True)
     else:
         degrees = np.bincount(g.adj.indices, minlength=g.n_nodes).astype(np.int64)
     values, counts = np.unique(degrees, return_counts=True)
-    return DegreeHistogram(
-        direction=direction,
-        weighted=weighted,
-        counts={int(k): int(c) for k, c in zip(values, counts)},
-    )
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 # ---- edge-list format ------------------------------------------------------
@@ -624,13 +607,7 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     g = DirectedGraph.from_edges(
         table.names, pairs[:, 0], pairs[:, 1], np.frombuffer(mult, dtype=np.int64)
     )
-    g.ingest = IngestStats(
-        lines=records,
-        edges=g.n_edges,
-        self_loops=g.self_loop_count(),
-        duplicates_merged=records - g.n_edges,
-        sha256=digest.hexdigest() if digest else None,
-    )
+    g.ingest = IngestStats(records, digest.hexdigest() if digest else None)
     return g
 
 

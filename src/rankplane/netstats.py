@@ -25,7 +25,7 @@ import numpy as np
 from . import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
 from .googlerank import INPUT_SUM_TOL, RankVector, pagerank
-from .graph import DegreeHistogram, DirectedGraph, invert
+from .graph import DirectedGraph, invert
 from .textio import read_series, write_series
 from .twodrank import RankTable
 
@@ -153,7 +153,10 @@ class DensityGrid:
 
     counts: np.ndarray
     n_ranks: int
-    n_samples: int
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def cells(self) -> int:
@@ -200,6 +203,8 @@ def grid_from_rank_pairs(
     k_star = np.asarray(k_star, dtype=np.int64)
     if len(k) != len(k_star):
         raise ContractViolation("rank arrays differ in length")
+    if not len(k):
+        raise ContractViolation("need at least one (rank, rank*) pair")
     if k.min() < 1 or k_star.min() < 1 or k.max() > n_ranks or k_star.max() > n_ranks:
         raise ContractViolation(f"ranks must lie in [1, {n_ranks}]")
     h = math.log(n_ranks) / cells
@@ -208,9 +213,7 @@ def grid_from_rank_pairs(
         block = slice(lo, lo + _BIN_BLOCK)
         ix, iy = _cell(np.log(k[block]), h, cells), _cell(np.log(k_star[block]), h, cells)
         flat += np.bincount(ix * cells + iy, minlength=cells * cells)
-    return DensityGrid(
-        counts=flat.reshape(cells, cells), n_ranks=n_ranks, n_samples=len(k)
-    )
+    return DensityGrid(counts=flat.reshape(cells, cells), n_ranks=n_ranks)
 
 
 def density_grid(table: RankTable, cells: int = 100) -> DensityGrid:
@@ -292,7 +295,7 @@ def fit_power_law(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     lo, hi = float(fit_range[0]), float(fit_range[1])
-    if not 0.0 < lo < hi:
+    if not 0.0 < lo < hi < math.inf:
         raise ContractViolation(f"invalid fit range [{lo}, {hi}]")
     if num_bins < 1:
         raise ContractViolation(f"need at least 1 bin, got {num_bins}")
@@ -338,11 +341,12 @@ def fit_power_law(
     )
 
 
-def histogram_curve(hist: DegreeHistogram) -> tuple[np.ndarray, np.ndarray]:
-    """(degree, frequency) points for fitting; degree-0 nodes are dropped."""
-    total = hist.total_nodes()
-    ks = np.asarray(sorted(k for k in hist.counts if k >= 1), dtype=np.float64)
-    ws = np.asarray([hist.counts[int(k)] / total for k in ks])
+def histogram_curve(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(degree, frequency) points for fitting from degree -> node counts, as
+    degree_distribution gives them; degree-0 nodes are dropped."""
+    total = sum(counts.values())
+    ks = np.asarray(sorted(k for k in counts if k >= 1), dtype=np.float64)
+    ws = np.asarray([counts[int(k)] / total for k in ks])
     return ks, ws
 
 
@@ -411,7 +415,9 @@ def _mean_adjusted_pmf(exponent: float, mean: float, k_max: int) -> tuple[int, n
     # Suffix sums: mass and first moment of the un-normalized tail from k upward.
     mass = np.cumsum(weight[::-1])[::-1]
     moment = np.cumsum((weight * k)[::-1])[::-1]
-    tail_mean = moment / mass  # tail_mean[j] = mean of the pure law on {j+1..k_max}
+    # tail_mean[j] = mean of the pure law on {j+1..k_max}.  Where k^-exponent
+    # has underflowed to 0 the tail has no mass, and no mean can be reached.
+    tail_mean = np.divide(moment, mass, out=np.full_like(mass, -np.inf), where=mass > 0)
 
     k0 = None
     for candidate in range(1, min(k_max - 1, 1000) + 1):
@@ -537,7 +543,10 @@ def read_density_grid(source: str | Path | IO[str]) -> DensityGrid:
         counts[cell] = columns["count"]
     except (KeyError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad or missing density grid value: {exc}") from None
-    return DensityGrid(counts.reshape(cells, cells), n_ranks, n_samples)
+    grid = DensityGrid(counts.reshape(cells, cells), n_ranks)
+    if grid.n_samples != n_samples:
+        raise ParseError(f"header n_samples={n_samples}, but the counts sum to {grid.n_samples}")
+    return grid
 
 
 def write_eta_slice(sl: EtaSlice, target: str | Path | IO[str]) -> None:

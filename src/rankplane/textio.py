@@ -70,7 +70,11 @@ def write_series(
     whitespace or starts with a quote is quoted by repr, so read_header
     returns every header value's str exactly.  A header key that is empty or
     holds whitespace or '=' would read back as another key, and is refused
-    before anything is written, as is a header a path cannot hold in UTF-8."""
+    before anything is written, as is a header a path cannot hold in UTF-8,
+    and columns of unequal length."""
+    lengths = set(map(len, columns.values()))
+    if len(lengths) > 1:
+        raise ContractViolation(f"columns of unequal length: {sorted(lengths)}")
     for key in meta or ():
         if not _HEADER_KEY.fullmatch(str(key)):
             raise ContractViolation(f"header key {key!r} is empty or holds whitespace or '='")
@@ -82,7 +86,7 @@ def write_series(
     _check_utf8(head, target, "the header")
     with open_text(target, "w") as out:
         out.write(head)
-        for rows in row_blocks(min(map(len, columns.values()))):
+        for rows in row_blocks(max(lengths, default=0)):
             blocks = (column[rows] for column in columns.values())
             fields = (map(str, b.tolist() if hasattr(b, "tolist") else b) for b in blocks)
             out.write(tsv_block(rows.stop - rows.start, *fields, sep=sep))
@@ -220,41 +224,32 @@ class NodeSubset:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SubsetReport:
-    resolved: int
-    duplicates: int
-    unresolved: tuple[str, ...]
-
-
 def load_node_subset(
     source: str | Path | IO[str],
     name_index: Mapping[str, int],
     label: str = "subset",
     strict: bool = True,
-) -> tuple[NodeSubset, SubsetReport]:
-    """Resolve a name file against a node table.
+) -> tuple[NodeSubset, tuple[str, ...]]:
+    """Resolve a name file against a node table: (subset, unresolved names).
 
     Duplicated names keep their first occurrence.  In strict mode any
     unresolved name aborts with its line number; in lenient mode unresolved
-    names are collected in the report and skipped.
+    names are skipped and returned in file order.
     """
     members: list[int] = []
     member_names: list[str] = []
-    duplicates = 0
     unresolved: list[str] = []
     for line_no, name, repeated in name_lines(source):
         if repeated:
-            duplicates += 1
-        elif (idx := name_index.get(name)) is not None:
+            continue
+        if (idx := name_index.get(name)) is not None:
             members.append(idx)
             member_names.append(name)
         elif strict:
             raise ParseError(f"unknown node name {name!r}", line_no)
         else:
             unresolved.append(name)
-    subset = NodeSubset(label, tuple(members), tuple(member_names))
-    return subset, SubsetReport(len(members), duplicates, tuple(unresolved))
+    return NodeSubset(label, tuple(members), tuple(member_names)), tuple(unresolved)
 
 
 def row_blocks(n_rows: int) -> Iterator[slice]:

@@ -1,15 +1,21 @@
 """End-to-end command-line behaviour: files in, files out, exit codes."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankplane
 from rankplane import (
@@ -270,6 +276,8 @@ PROBED_FLAGS = [
     (("stats", "slice", "{table}", "--x0", "{v}"), FLOAT_EDGES),
     (("stats", "slice", "{table}", "--x0", "1", "--cells", "{v}"), INT_EDGES),
     (("stats", "fitcurve", "{table}", "--bins", "{v}"), INT_EDGES),
+    (("stats", "fitcurve", "{table}", "--fit-range", "1:{v}"), FLOAT_EDGES),
+    (("stats", "fitcurve", "{table}", "--fit-range", "{v}:300"), FLOAT_EDGES),
     (("overlap", "curve", "{a}", "{b}", "--ks-max", "{v}"), INT_EDGES),
     (("overlap", "window", "{a}", "{b}", "--window", "{v}"), INT_EDGES),
     (("overlap", "subset-window", "{a}", "{members}", "--window", "{v}"), INT_EDGES),
@@ -308,9 +316,76 @@ def test_edge_flag_values_exit_cleanly_or_refuse_before_writing(
     assert "Traceback" not in capsys.readouterr().err
     if code != 0:
         assert list(tmp_path.iterdir()) == []
-    flag = template[template.index("{v}") - 1]
+    flag = next(template[i - 1] for i, arg in enumerate(template) if "{v}" in arg)
     if value not in (str(10**18), "1e18") and (flag, value) not in DOCUMENTED_EDGES:
         assert code in (2, 4)
+
+
+# Every command that reads files, and its probe inputs ("{name}" marks one).
+FILE_COMMANDS = [
+    ("rank", "{edges}"),
+    ("stats", "density", "{table}", "--null-samples", "200", "--seed", "3"),
+    ("stats", "slice", "{table}", "--x0", "2"),
+    ("stats", "correlator", "{table}"),
+    ("stats", "fitcurve", "{table}"),
+    ("subset", "{table}", "{members}"),
+    ("subset", "{table}", "{members}", "--lenient"),
+    ("overlap", "curve", "{a}", "{b}"),
+    ("overlap", "window", "{a}", "{b}"),
+    ("overlap", "subset-window", "{a}", "{members}"),
+]
+INSERTS = (b"\t", b"\r", b"#", b"'", b"\xff", b"\n")
+BAD_NUMBERS = (b"nan", b"inf", b"-1", b"1e308", b"0")
+# A header value (after '=') or a number field (after a tab or a comma).
+VALUE = re.compile(rb"(?<==)\S+|(?<=[\t,])[-+.0-9eE]+(?=[\s,]|\Z)")
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """data after one to three edits: a truncation, a flipped byte, an
+    inserted character, repeated lines or a bad value."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("truncate", "flip", "insert", "repeat", "value")))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "flip" and data:
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+        elif kind == "insert":
+            data = data[:at] + draw(st.sampled_from(INSERTS)) + data[at:]
+        elif kind == "repeat" and data:
+            lines = data.splitlines(keepends=True)
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i] = lines[i : i + draw(st.integers(1, 3))] * draw(st.integers(1, 3))
+            data = b"".join(lines)
+        elif kind == "value" and (spans := [m.span() for m in VALUE.finditer(data)]):
+            lo, hi = spans[draw(st.integers(0, len(spans) - 1))]
+            data = data[:lo] + draw(st.sampled_from(BAD_NUMBERS)) + data[hi:]
+    return data
+
+
+@pytest.mark.parametrize("template", FILE_COMMANDS, ids=" ".join)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_input_files_exit_cleanly_or_refuse_before_writing(
+    template, data, probe_inputs, tmp_path_factory
+):
+    inputs = sorted({arg[1:-1] for arg in template if arg.startswith("{")})
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as root:
+        paths = {key: Path(root) / probe_inputs[key].name for key in inputs}
+        for key in inputs:
+            paths[key].write_bytes(probe_inputs[key].read_bytes())
+        for key in data.draw(st.sets(st.sampled_from(inputs), min_size=1), label="mutated"):
+            paths[key].write_bytes(data.draw(mutated(paths[key].read_bytes()), label=key))
+        out = Path(root) / "out"
+        out.mkdir()
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([arg.format(**paths) for arg in template] + ["-o", str(out / "result")])
+        assert code in (0, 2, 3, 4), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert list(out.iterdir()) == []
 
 
 def test_unknown_flag_is_a_usage_error(capsys):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,8 @@ def test_grid_rejects_bad_input():
         grid_from_rank_pairs([1, 11], [1, 2], 10)  # beyond n_ranks
     with pytest.raises(ContractViolation):
         grid_from_rank_pairs([1, 2, 3], [1, 2], 10)
+    with pytest.raises(ContractViolation, match="at least one"):
+        grid_from_rank_pairs([], [], 10)  # no pairs
 
 
 def test_density_grid_from_table():
@@ -283,7 +286,7 @@ def test_density_per_area_recovers_counts():
 
 def patterned_grid(cells=10, n_ranks=1000):
     counts = np.arange(cells * cells, dtype=np.int64).reshape(cells, cells)
-    return DensityGrid(counts=counts, n_ranks=n_ranks, n_samples=int(counts.sum()))
+    return DensityGrid(counts=counts, n_ranks=n_ranks)
 
 
 def test_slice_samples_match_scalar_lookup():
@@ -323,7 +326,6 @@ def test_slice_on_uniform_grid_is_flat():
     grid = DensityGrid(
         counts=np.full((cells, cells), 5, dtype=np.int64),
         n_ranks=500,
-        n_samples=5 * cells * cells,
     )
     sl = slice_density(grid, 0.4 * grid.axis_max)
     assert np.all(sl.density == sl.density[0])
@@ -390,6 +392,9 @@ def test_fit_rejects_bad_input():
         fit_power_law(x, y, (50.0, 5.0))  # inverted range
     with pytest.raises(ContractViolation):
         fit_power_law(x, y, (0.0, 10.0))  # log needs positive bounds
+    for bounds in ((1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)):
+        with pytest.raises(ContractViolation, match="invalid fit range"):
+            fit_power_law(x, y, bounds)  # bin edges need finite bounds
     with pytest.raises(ContractViolation):
         fit_power_law(x[:3], y[:3], (1.0, 99.0))  # too few points
     bad = y.copy()
@@ -499,6 +504,27 @@ def test_mean_adjusted_pmf_hits_the_target_mean_with_exact_tail():
         ratio = tail[1:] / tail[:-1]
         expected = (ks[2:] / ks[1:-1]) ** -mu
         np.testing.assert_allclose(ratio, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("exponent", [30.0, 300.0, 1000.0, math.inf, 1e18])
+def test_mean_adjusted_pmf_with_an_underflowing_tail_warns_nothing(exponent):
+    """k^-exponent underflows to 0 in the tail; such a tail has no mean to
+    reach, and k0 (so the pmf) is the one the plain quotient gave."""
+    mean, k_max = 5.0, 300
+    k = np.arange(1, k_max + 1, dtype=np.float64)
+    weight = k**-exponent
+    with np.errstate(invalid="ignore"):
+        plain = np.cumsum((weight * k)[::-1])[::-1] / np.cumsum(weight[::-1])[::-1]
+    reachable = np.flatnonzero(plain[1:k_max] >= mean)  # k0 candidates 1 .. k_max - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not len(reachable):
+            with pytest.raises(ContractViolation, match="not reachable"):
+                _mean_adjusted_pmf(exponent, mean, k_max)
+            return
+        k0, pmf = _mean_adjusted_pmf(exponent, mean, k_max)
+    assert k0 == reachable[0] + 1
+    assert float(pmf @ np.arange(k0, k_max + 1)) == pytest.approx(mean, abs=1e-9)
 
 
 def test_generate_scale_free_is_deterministic():

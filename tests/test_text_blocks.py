@@ -97,12 +97,7 @@ def reference_load_edge_list(stream) -> DirectedGraph:
         np.asarray(dst, dtype=np.int64),
         np.asarray(mult, dtype=np.int64),
     )
-    g.ingest = IngestStats(
-        lines=records,
-        edges=g.n_edges,
-        self_loops=g.self_loop_count(),
-        duplicates_merged=records - g.n_edges,
-    )
+    g.ingest = IngestStats(lines=records)
     return g
 
 
