@@ -48,7 +48,7 @@ def _fit_range(text: str) -> tuple[float, float]:
 
 # ---- commands ---------------------------------------------------------------
 # Each imports only the modules it runs: the `overlap` commands start without
-# NumPy, the commands that read tables without SciPy.
+# NumPy, and every command but `rank` without SciPy.
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -118,11 +118,13 @@ def cmd_stats_density(args: argparse.Namespace) -> int:
     if args.null_samples is not None:  # sampled before any file is written
         if args.seed is None:
             raise ContractViolation("--null-samples requires --seed")
+        n_ranks = len(table)
         _, p_curve = netstats.rank_curve(table.pagerank)
         _, p_star_curve = netstats.rank_curve(table.cheirank)
+        del table  # the draws need only the curves; this is the command's peak
         n = args.null_samples
         ks, k_stars = netstats.sample_independent(p_curve, p_star_curve, n, args.seed)
-        null_grid = netstats.grid_from_rank_pairs(ks, k_stars, n_ranks=len(table), cells=args.cells)
+        null_grid = netstats.grid_from_rank_pairs(ks, k_stars, n_ranks=n_ranks, cells=args.cells)
     netstats.write_density_grid(grid, args.output)
     print(f"density grid {grid.cells}x{grid.cells} over {grid.n_samples} nodes -> {args.output}")
     if null_grid is not None:

@@ -33,8 +33,6 @@ if TYPE_CHECKING:  # imported where a matrix is built; see DirectedGraph.from_ed
 
 # How closely a stored probability vector must sum to one.
 NORMALIZATION_TOL = 1e-12
-# How closely an *input* vector must sum to one before we refuse it.
-INPUT_SUM_TOL = 1e-9
 
 
 @dataclass

@@ -8,17 +8,18 @@ only matter at the file boundary.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator
+from typing import IO, TYPE_CHECKING, ContextManager, Iterator
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .textio import COMMENT_CHAR, joined_fields, line_blocks, open_text, row_blocks, tsv_block
+from .textio import COMMENT_CHAR, joined_fields, line_blocks, row_blocks
 
 # Subsets are read by textio.  The benchmark's tracer (perfbench/tracing.py)
 # still times them under this name; drop the line with ROADMAP §1's
@@ -51,8 +52,15 @@ class DirectedGraph:
         n = len(names)
         if adj.shape != (n, n):
             raise ContractViolation(f"adjacency shape {adj.shape} does not match {n} names")
+        self._hold(names, adj.indptr, adj.indices, adj.data)
+        self._adj = adj
+
+    def _hold(self, names: list[str], indptr, indices, data) -> None:
         self.names = names
-        self.adj = adj
+        # The CSR arrays; adj is a SciPy matrix over them, made on first use,
+        # so that a graph that is only written or hashed needs no SciPy.
+        self._indptr, self._indices, self._data = indptr, indices, data
+        self._adj: sp.csr_matrix | None = None
         self.ingest: IngestStats | None = None  # set by load_edge_list
         self._name_index: dict[str, int] | None = None
         self._out_weight: np.ndarray | None = None
@@ -66,9 +74,8 @@ class DirectedGraph:
         cls, names: list[str], src: np.ndarray, dst: np.ndarray, mult: np.ndarray
     ) -> "DirectedGraph":
         """Build the canonical CSR from parallel edge arrays (duplicates merged)."""
-        # Imported in the two constructors, the only places a sparse matrix is
-        # built, so that the commands that only read rank tables or name lists
-        # start without it.
+        # Imported where a sparse matrix is built, so that the commands that
+        # only read rank tables or name lists start without it.
         import scipy.sparse as sp
 
         n = len(names)
@@ -95,12 +102,20 @@ class DirectedGraph:
         The caller guarantees the form: rows ascending, each row's columns
         ascending and distinct, every multiplicity >= 1.
         """
-        import scipy.sparse as sp
+        g = cls.__new__(cls)
+        g._hold(names, indptr, indices, data)
+        return g
 
-        n = len(names)
-        adj = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        adj.has_canonical_format = True
-        return cls(names, adj)
+    @property
+    def adj(self) -> sp.csr_matrix:
+        """The canonical CSR as a SciPy matrix over the graph's arrays."""
+        if self._adj is None:
+            import scipy.sparse as sp
+
+            n = self.n_nodes
+            self._adj = sp.csr_matrix((self._data, self._indices, self._indptr), shape=(n, n))
+            self._adj.has_canonical_format = True
+        return self._adj
 
     # ---- basic queries ---------------------------------------------------
 
@@ -116,12 +131,12 @@ class DirectedGraph:
 
     @property
     def total_edge_weight(self) -> int:
-        return int(self.adj.data.sum()) if self.adj.nnz else 0
+        return int(self._data.sum())
 
     @property
     def n_edges(self) -> int:
         """Distinct (source, target) pairs."""
-        return self.adj.nnz
+        return len(self._data)
 
     def out_weight(self) -> np.ndarray:
         """Multiplicity-weighted out-degree per node (float64)."""
@@ -166,7 +181,7 @@ class DirectedGraph:
             # surrogatepass: a name read from a caller's stream may hold a
             # lone surrogate; every other name encodes as plain UTF-8.
             h.update("\x00".join(self.names).encode("utf-8", "surrogatepass"))
-            for arr in (self.adj.indptr, self.adj.indices, self.adj.data):
+            for arr in (self._indptr, self._indices, self._data):
                 h.update(arr.astype(np.int64, copy=False))
             self._content_hash = h.hexdigest()[:16]
         return self._content_hash
@@ -617,9 +632,12 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
     Refused before anything is written: a name that is empty, padded or holds
     a tab, CR or LF, one a path cannot hold in UTF-8, and an edge source
     named '#…', whose line is a comment.
+
+    The lines are built as UTF-8 bytes in NumPy, a block of rows at a time;
+    a caller's stream is given them as text (lone surrogates kept).
     """
     names = g.names
-    indptr, indices, data = g.adj.indptr, g.adj.indices, g.adj.data
+    indptr, indices, data = g._indptr, g._indices, g._data
     text = joined_fields(names, target)
     if not (names and all(names) and list(map(str.strip, names)) == names):
         raise ContractViolation("no node, or a node name that is empty or padded")
@@ -627,15 +645,54 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
         for i in np.flatnonzero(np.diff(indptr)).tolist():
             if names[i].startswith(COMMENT_CHAR):
                 raise ContractViolation(f"edge source {names[i]!r} would be a comment line")
-    with open_text(target, "w") as out:
-        out.write(f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n")
-        for rows in row_blocks(g.adj.nnz):
-            sources = np.searchsorted(indptr, np.arange(rows.start, rows.stop), side="right") - 1
-            out.write(
-                tsv_block(
-                    len(sources),
-                    map(names.__getitem__, sources.tolist()),
-                    map(names.__getitem__, indices[rows].tolist()),
-                    map(str, data[rows].tolist()),
-                )
-            )
+    # Every name's bytes followed by a tab, then, rewritten for each block,
+    # the block's distinct multiplicity texts, each followed by LF (room for
+    # about 200 of them, grown when a block has more).
+    raw = (text + "\n").encode("utf-8", "surrogatepass")
+    del text
+    names_end = len(raw)
+    store = np.zeros(names_end + (1 << 12), dtype=np.uint8)
+    store[:names_end] = np.frombuffer(raw, dtype=np.uint8)
+    del raw
+    name_end = np.flatnonzero(store[:names_end] == 10) + 1  # past each name's tab
+    store[name_end - 1] = 9
+    name_start = np.concatenate(([0], name_end[:-1]))
+    name_size = name_end - name_start
+    del name_end
+
+    header = f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n"
+    if isinstance(target, (str, Path)):
+        out: ContextManager = open(target, "wb")
+        write = out.write
+    else:
+        out = contextlib.nullcontext()
+
+        def write(lines: bytes) -> None:
+            target.write(lines.decode("utf-8", "surrogatepass"))
+
+    with out:
+        write(header.encode())
+        for rows in row_blocks(len(data)):
+            # The rows the block's edges lie in, each repeated once per edge.
+            # (Searched for in indptr's own dtype: any other casts all of it.)
+            span = np.array([rows.start, rows.stop - 1], dtype=indptr.dtype)
+            first, last = np.searchsorted(indptr, span, side="right") - 1
+            edges = np.diff(np.clip(indptr[first : last + 2], rows.start, rows.stop))
+            sources = np.repeat(np.arange(first, last + 1), edges)
+            values, which = np.unique(data[rows], return_inverse=True)
+            texts = [f"{v}\n".encode() for v in values.tolist()]
+            text_size = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+            text_start = names_end + np.cumsum(text_size) - text_size
+            texts_end = names_end + int(text_size.sum())
+            store = _grown(store, names_end, texts_end)
+            store[names_end:texts_end] = np.frombuffer(b"".join(texts), dtype=np.uint8)
+            # Three pieces per line: source and tab, target and tab, text.
+            starts = np.empty((len(sources), 3), dtype=np.int64)
+            sizes = np.empty((len(sources), 3), dtype=np.int64)
+            starts[:, 0], sizes[:, 0] = name_start[sources], name_size[sources]
+            targets = indices[rows]
+            starts[:, 1], sizes[:, 1] = name_start[targets], name_size[targets]
+            starts[:, 2], sizes[:, 2] = text_start[which], text_size[which]
+            starts, sizes = starts.ravel(), sizes.ravel()
+            ends = np.cumsum(sizes)
+            write(store[np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])].tobytes())

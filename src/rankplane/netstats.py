@@ -18,16 +18,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import DEFAULT_MAX_ITER, DEFAULT_TOL
+from . import DEFAULT_MAX_ITER, DEFAULT_TOL, INPUT_SUM_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
-from .googlerank import INPUT_SUM_TOL, RankVector, pagerank
-from .graph import DirectedGraph, invert
 from .textio import read_series, write_series
 from .twodrank import RankTable
+
+# The graph and solver modules are imported by the two functions that use
+# them, generate_scale_free and correlator_sweep, so that the commands that
+# only read rank tables start without them.
+if TYPE_CHECKING:
+    from .googlerank import RankVector
+    from .graph import DirectedGraph
 
 
 # ---- correlator ------------------------------------------------------------
@@ -102,6 +107,8 @@ def correlator_sweep(
                 f"sweep damping values must lie strictly inside (0, 1), got ({a}, {s})"
             )
 
+    from .graph import invert
+
     forward = _solve_all(g, [a for a, _ in pairs], tol, max_iter)
     backward = _solve_all(invert(g), [s for _, s in pairs], tol, max_iter)
     points: list[CorrelatorPoint] = []
@@ -124,6 +131,8 @@ def _solve_all(
     finished are kept.  A rider unfinished at max_iter has had the budget of
     its own solve, so it stays None with the driver.
     """
+    from .googlerank import pagerank
+
     solved: dict[float, RankVector | None] = dict.fromkeys(alphas)
     if not solved:
         return solved
@@ -393,7 +402,10 @@ def _sample_curve(curve: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
     ranks = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BIN_BLOCK):
         uniforms = rng.random(min(_BIN_BLOCK, n - lo))
-        ranks[lo : lo + _BIN_BLOCK] = np.searchsorted(cum, uniforms, side="right")
+        # Searched in ascending order, each search starts where the last
+        # ended; the ranks are scattered back to the order drawn.
+        order = np.argsort(uniforms)
+        ranks[lo + order] = np.searchsorted(cum, uniforms[order], side="right")
     ranks += 1
     return ranks
 
@@ -457,11 +469,15 @@ def generate_scale_free(
     uniformly at random, and repeated pairs merge into multiplicities.
     Self-loops are kept.
     """
+    from .graph import DirectedGraph
+
+    # Written so that NaN fails them.
     if n < 100:
         raise ContractViolation(f"need n >= 100, got {n}")
-    if mu_in <= 2.0 or mu_out <= 2.0:
-        raise ContractViolation("degree exponents must exceed 2 (finite mean)")
-    if mean_degree < 1.0:
+    for name, mu in (("mu_in", mu_in), ("mu_out", mu_out)):
+        if not mu > 2.0:
+            raise ContractViolation(f"{name} must exceed 2 (finite mean), got {mu}")
+    if not mean_degree >= 1.0:
         raise ContractViolation(f"mean degree must be >= 1, got {mean_degree}")
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
@@ -544,8 +560,12 @@ def read_density_grid(source: str | Path | IO[str]) -> DensityGrid:
     except (KeyError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad or missing density grid value: {exc}") from None
     grid = DensityGrid(counts.reshape(cells, cells), n_ranks)
+    if np.any(counts < 0):
+        raise ParseError("a cell count is negative")
     if grid.n_samples != n_samples:
         raise ParseError(f"header n_samples={n_samples}, but the counts sum to {grid.n_samples}")
+    if n_samples < 1 or n_ranks < 2:
+        raise ParseError(f"a density grid of {n_samples} samples over {n_ranks} ranks")
     return grid
 
 

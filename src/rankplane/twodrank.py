@@ -179,7 +179,10 @@ def read_rank_table(source: str | Path | IO[str]) -> RankTable:
         raise ParseError(f"the table has {n} rows, its header says {size_key}={meta[size_key]}")
     if size_key == "n_nodes":
         for key in ("pagerank", "cheirank"):
-            total = math.fsum(columns[key].tolist())
+            try:
+                total = math.fsum(columns[key].tolist())
+            except (OverflowError, ValueError):  # inf and -inf, or a sum beyond float
+                raise ParseError(f"{key} does not sum to a finite number") from None
             if not abs(total - 1.0) <= _SUM_TOL:
                 raise ParseError(f"{key} sums to {total!r}, not 1 within {_SUM_TOL:g}")
     return RankTable(names=names, meta=meta, **columns)

@@ -231,14 +231,23 @@ def test_bad_damping_factor_in_table_header_exits_2(key, random_edges, tmp_path,
     assert "abc" in capsys.readouterr().err
 
 
+def with_pagerank(lines, *values):
+    """The table lines with the first rows' PageRank probabilities replaced."""
+    rows = [line.split("\t") for line in lines[2 : 2 + len(values)]]
+    edited = ["\t".join([row[0], value, *row[2:]]) for row, value in zip(rows, values)]
+    return lines[:2] + edited + lines[2 + len(values) :]
+
+
 @pytest.mark.parametrize(
     "edit, cause",
     [
         (lambda lines: lines[:3] + lines[2:], "pagerank_rank is not a permutation of 1..201"),
         (lambda lines: lines[:102], "cheirank_rank is not a permutation of 1..100"),
         (lambda lines: [lines[0].replace("n_nodes=200", "n_nodes=199")] + lines[1:], "n_nodes=199"),
+        (lambda lines: with_pagerank(lines, "1e308", "1e308"), "pagerank does not sum to a finite"),
+        (lambda lines: with_pagerank(lines, "inf", "-inf"), "pagerank does not sum to a finite"),
     ],
-    ids=["repeated_row", "first_100_rows", "n_nodes"],
+    ids=["repeated_row", "first_100_rows", "n_nodes", "overflowing_sum", "infinite_terms"],
 )
 def test_a_rank_table_that_is_not_whole_exits_2(edit, cause, tmp_path, capsys):
     """A row repeated or rows dropped used to give a wrong kappa or density
@@ -257,6 +266,17 @@ def test_a_rank_table_that_is_not_whole_exits_2(edit, cause, tmp_path, capsys):
 def test_nan_tolerance_exits_4(random_edges, tmp_path, capsys):
     assert run("rank", random_edges, "-o", tmp_path / "t.tsv", "--tol", "nan") == 4
     assert "tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, reason", [("--mu-in", "mu_in"), ("--mu-out", "mu_out"), ("--mean-degree", "mean degree")]
+)
+def test_synth_refuses_nan_by_its_parameter(flag, reason, tmp_path, capsys):
+    out = tmp_path / "edges.tsv"
+    assert run("synth", 300, "--seed", 3, flag, "nan", "-o", out) == 4
+    err = capsys.readouterr().err
+    assert f"{reason} must" in err and "not reachable" not in err
+    assert not out.exists()
 
 
 # Every numeric flag of every command at its edge values ("{v}" marks the
@@ -645,9 +665,9 @@ def test_subset_label_a_file_cannot_hold_exits_4(random_edges, tmp_path, capsys)
 
 # ---- start-up ------------------------------------------------------------------------
 
-# Runs the overlap commands that need no NumPy, subset, the analysis
-# commands, then synth, in one fresh interpreter and prints which modules
-# were loaded after each part.
+# Runs the overlap commands that need no NumPy, subset, the stats commands,
+# then synth and rank, in one fresh interpreter and prints which modules were
+# loaded after each part.
 SCIPY_PROBE = """\
 import json
 import sys
@@ -656,10 +676,16 @@ import rankplane.overlap
 import rankplane.textio
 from rankplane.cli import main
 
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 numpy_free = [main(argv) for argv in json.loads(sys.argv[3])]
 numpy_loaded = sorted({"numpy", "rankplane.graph"} & set(sys.modules))
 subset_code = main(json.loads(sys.argv[4]))
 graph_after_subset = "rankplane.graph" in sys.modules
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+solver_loaded = sorted({"rankplane.graph", "rankplane.googlerank"} & set(sys.modules))
+after_analysis = scipy_modules()
 exports = list(rankplane.__all__)
 unresolved = [name for name in exports if getattr(rankplane, name, None) is None]
 try:
@@ -668,25 +694,25 @@ try:
 except AttributeError:
     nope_raises = True
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-after_analysis = scipy_modules()
 synth = main(json.loads(sys.argv[2]))
+after_synth = scipy_modules()
+rank = main(json.loads(sys.argv[5]))
 print(json.dumps([numpy_free, numpy_loaded, subset_code, graph_after_subset, exports,
-                  unresolved, nope_raises, codes, after_analysis, synth,
-                  bool(scipy_modules())]))
+                  unresolved, nope_raises, codes, solver_loaded, after_analysis, synth,
+                  after_synth, rank, bool(scipy_modules())]))
 """
 
 
 def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
-    """Only synth and rank build sparse matrices, so only they import SciPy.
+    """Only rank multiplies sparse matrices, so only it imports SciPy.
 
+    synth builds its graph from plain arrays and writes it without SciPy.
+    The four stats commands load neither the graph module nor the solver.
     The package itself imports nothing until a name is used: `import
-    rankplane` loads no NumPy, and every exported name resolves on demand.
-    The text formats, the overlap module and the three `overlap` commands
-    load neither NumPy nor the graph module, and `subset` no graph module.
+    rankplane` loads no NumPy, and every exported name resolves on demand,
+    SciPy still unloaded.  The text formats, the overlap module and the
+    three `overlap` commands load neither NumPy nor the graph module, and
+    `subset` no graph module.
     """
     table = str(rank_table_for(random_edges, tmp_path))
     names = [f"v{i:02d}" for i in range(50)]
@@ -694,19 +720,23 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
     b = str(write_list(tmp_path / "b.txt", names[::-1]))
     marked = str(write_list(tmp_path / "marked.txt", names[::7]))
     out = str(tmp_path / "out")
-    analysis = [
-        ["stats", "density", table, "-o", out, "--cells", "10"],
+    stats = [
+        ["stats", "density", table, "-o", out, "--cells", "10",
+         "--null-samples", "100", "--seed", "1"],
         ["stats", "slice", table, "-o", out, "--x0", "1.0", "--cells", "10"],
         ["stats", "correlator", table, "-o", out],
         ["stats", "fitcurve", table, "-o", out, "--bins", "5"],
+    ]
+    numpy_free = [
         ["overlap", "curve", a, b, "-o", out],
         ["overlap", "window", a, b, "-o", out, "--window", "10"],
         ["overlap", "subset-window", a, marked, "-o", out, "--window", "10"],
-        ["subset", table, marked, "-o", out],
     ]
-    synth = ["synth", "150", "-o", str(tmp_path / "edges.tsv"), "--seed", "4"]
-    numpy_free = analysis[4:7]
-    probe_args = [json.dumps(argv) for argv in (analysis, synth, numpy_free, analysis[7])]
+    subset = ["subset", table, marked, "-o", out]
+    edges = str(tmp_path / "edges.tsv")
+    synth = ["synth", "150", "-o", edges, "--seed", "4"]
+    rank = ["rank", edges, "-o", str(tmp_path / "synth_table.tsv")]
+    probe_args = [json.dumps(argv) for argv in (stats, synth, numpy_free, subset, rank)]
     result = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, *probe_args],
         capture_output=True,
@@ -716,19 +746,22 @@ def test_analysis_commands_do_not_load_scipy(random_edges, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     (
-        numpy_free_codes, numpy_loaded, subset_code, graph_after_subset, exports,
-        unresolved, nope_raises, codes, after_analysis, synth_code, scipy_after_synth,
+        numpy_free_codes, numpy_loaded, subset_code, graph_after_subset, exports, unresolved,
+        nope_raises, codes, solver_loaded, after_analysis, synth_code, scipy_after_synth,
+        rank_code, scipy_after_rank,
     ) = json.loads(result.stdout.splitlines()[-1])
     assert numpy_free_codes == [0, 0, 0]
     assert numpy_loaded == []
     assert subset_code == 0 and not graph_after_subset
+    assert codes == [0] * len(stats), result.stderr
+    assert solver_loaded == []
+    assert after_analysis == []
     assert exports and len(set(exports)) == len(exports)
     assert unresolved == []
     assert nope_raises
-    assert codes == [0] * len(analysis), result.stderr
-    assert after_analysis == []
-    assert synth_code == 0 and scipy_after_synth
-    assert load_edge_list(tmp_path / "edges.tsv").n_nodes == 150
+    assert synth_code == 0 and scipy_after_synth == []
+    assert rank_code == 0 and scipy_after_rank
+    assert load_edge_list(edges).n_nodes == 150
 
 
 # ---- console script ------------------------------------------------------------------

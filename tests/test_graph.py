@@ -381,13 +381,32 @@ def test_writers_and_readers_share_one_text_boundary(kind, tmp_path):
             "0,0,4,1.0,1.0\n",
             None,
         ),
+        (
+            read_density_grid,
+            "# n_ranks=4 n_samples=1 cells=2 axis_max=1.0\ni,j,count,w,density_per_area\n"
+            "0,0,3,3.0,1.0\n0,1,-2,-2.0,1.0\n",
+            None,
+        ),
+        (
+            read_density_grid,
+            "# n_ranks=4 n_samples=0 cells=2 axis_max=1.0\ni,j,count,w,density_per_area\n"
+            "0,0,0,0.0,0.0\n",
+            None,
+        ),
+        (
+            read_density_grid,
+            "# n_ranks=1 n_samples=1 cells=2 axis_max=0.0\ni,j,count,w,density_per_area\n"
+            "0,0,1,1.0,1.0\n",
+            None,
+        ),
         (read_overlap_series, "# kind=window_fw window=two\nx,f\n10.0,0.5\n", None),
         (read_overlap_series, "# kind=cumulative_f\nx,f\n1.0,zz\n", 3),
         (read_overlap_series, "# kind=cumulative_f\nx,g\n1.0,0.5\n", 2),
         (read_series, "a,b\n1\n", 2),
     ],
     ids=[
-        "grid_cells", "grid_samples", "overlap_window", "overlap_value", "overlap_columns",
+        "grid_cells", "grid_samples", "grid_negative_count", "grid_no_samples", "grid_one_rank",
+        "overlap_window", "overlap_value", "overlap_columns",
         "ragged_row",
     ],
 )

@@ -1,6 +1,8 @@
 """Rank-plane statistics: correlator, grids, slices, fits, samplers."""
 
+import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -31,6 +33,7 @@ from rankplane import (
     sample_independent,
     slice_density,
     write_density_grid,
+    write_edge_list,
 )
 from rankplane.graph import degree_distribution
 from rankplane.netstats import (
@@ -586,6 +589,46 @@ def test_generate_scale_free_matches_the_unique_and_coo_build(case):
         assert got.dtype == want.dtype, attr
         np.testing.assert_array_equal(got, want)
     assert g.adj.has_canonical_format and g.content_hash() == expected.content_hash()
+
+
+# A generated graph written, hashed and counted in a fresh interpreter.
+FROM_CSR_PROBE = """
+import hashlib, io, json, sys
+from rankplane.graph import write_edge_list
+from rankplane.netstats import generate_scale_free
+
+g = generate_scale_free(*json.loads(sys.argv[1]))
+out = io.StringIO()
+write_edge_list(g, out)
+facts = [g.n_edges, g.total_edge_weight, g.content_hash(),
+         hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps([facts, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_a_generated_graph_is_written_and_hashed_without_scipy():
+    """generate_scale_free builds by from_csr, which makes no SciPy matrix:
+    the graph's counts, hash and edge list come from its arrays, and its adj,
+    made on first use, equals the one from_edges builds at once."""
+    case = (2000, 2.5, 2.5, 4.0, 3)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", FROM_CSR_PROBE, json.dumps(case)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    facts, scipy_loaded = json.loads(run.stdout.splitlines()[-1])
+    assert scipy_loaded == []
+
+    eager, _ = parent_way_scale_free(*case)
+    out = io.StringIO()
+    write_edge_list(eager, out)
+    written = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert facts == [eager.n_edges, eager.total_edge_weight, eager.content_hash(), written]
+    g = generate_scale_free(*case)
+    assert g.adj is g.adj and g.adj.has_canonical_format
+    assert g.adj.shape == eager.adj.shape and (g.adj != eager.adj).nnz == 0
 
 
 def test_generate_scale_free_peak_memory():

@@ -155,7 +155,11 @@ def reference_check_table(table: RankTable) -> RankTable:
         raise ParseError(f"{n} rows, header {size}")
     if "subset_size" not in table.meta:
         for col in ("pagerank", "cheirank"):
-            if not abs(math.fsum(getattr(table, col).tolist()) - 1.0) <= 1e-9:
+            try:
+                total = math.fsum(getattr(table, col).tolist())
+            except (OverflowError, ValueError):
+                total = math.nan
+            if not abs(total - 1.0) <= 1e-9:
                 raise ParseError(f"{col} does not sum to 1")
     return table
 
@@ -547,6 +551,78 @@ def test_edge_list_writer_matches_the_per_row_writer(g, rows):
         else:
             write_edge_list(g, got)
             assert got.getvalue() == expected.getvalue()
+
+
+# Names of characters 1, 2, 3 and 4 bytes long in UTF-8, none of them
+# whitespace (a padded name is refused) and none starting with '#'.
+WIDE_CHARS = st.one_of(
+    st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    st.characters(min_codepoint=0x800, max_codepoint=0xFFFF, blacklist_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+).filter(lambda c: not c.isspace())
+WIDE_NAMES = st.text(WIDE_CHARS, min_size=1, max_size=5).filter(lambda s: s[0] != COMMENT_CHAR)
+MULTIPLICITIES = st.one_of(st.integers(1, 3), st.integers(1, 2**63 - 1))
+
+
+@st.composite
+def csr_graphs(draw):
+    """Graphs built by from_csr, as the generator builds them: isolated nodes,
+    self-loops and multiplicities up to 2**63 - 1 included."""
+    names = draw(st.lists(WIDE_NAMES, min_size=1, max_size=12, unique=True))
+    n = len(names)
+    node = st.integers(0, n - 1)
+    pairs = sorted(draw(st.sets(st.tuples(node, node), max_size=40)))
+    mult = draw(st.lists(MULTIPLICITIES, min_size=len(pairs), max_size=len(pairs)))
+    rows = np.bincount(np.array([s for s, _ in pairs], dtype=np.int64), minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(rows))).astype(np.int32)
+    indices = np.array([t for _, t in pairs], dtype=np.int32)
+    return DirectedGraph.from_csr(names, indptr, indices, np.array(mult, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=csr_graphs(),
+    surrogate=st.sampled_from([None, chr(0xDC80), "a" + chr(0xD800), chr(0xD83D) + "x"]),
+    rows=st.integers(1, 10),
+)
+def test_edge_list_bytes_match_the_per_line_writer(g, surrogate, rows, tmp_path_factory):
+    """To a path and to a stream; a lone surrogate, which no UTF-8 file can
+    hold, only to a stream."""
+    if surrogate is not None:
+        adj = g.adj
+        g = DirectedGraph.from_csr([*g.names[:-1], surrogate], adj.indptr, adj.indices, adj.data)
+    expected, got = io.StringIO(), io.StringIO()
+    reference_write_edge_list(g, expected)
+    path = tmp_path_factory.mktemp("written") / "edges.tsv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_BLOCK_ROWS", rows)
+        write_edge_list(g, got)
+        assert got.getvalue() == expected.getvalue()
+        if surrogate is None:
+            write_edge_list(g, path)
+            assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        else:
+            with pytest.raises(ContractViolation, match="UTF-8 cannot encode"):
+                write_edge_list(g, path)
+            assert not path.exists()
+
+
+def test_a_block_of_many_long_multiplicities_matches_the_per_line_writer():
+    """More distinct multiplicity texts in one block than the writer first
+    makes room for."""
+    n = 3000
+    mult = 10**15 + np.arange(n, dtype=np.int64)  # 16 bytes of text each
+    g = DirectedGraph.from_csr(
+        [f"n{i}" for i in range(n)],
+        np.arange(n + 1, dtype=np.int32),
+        np.arange(n, dtype=np.int32)[::-1].copy(),
+        mult,
+    )
+    expected, got = io.StringIO(), io.StringIO()
+    reference_write_edge_list(g, expected)
+    write_edge_list(g, got)
+    assert got.getvalue() == expected.getvalue()
 
 
 @st.composite
