@@ -16,8 +16,6 @@ __version__ = "0.1.0"
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
-# How closely an input probability vector must sum to one before it is refused.
-INPUT_SUM_TOL = 1e-9
 
 # The module that defines each public name.  A name is imported from its
 # module on first use, so `import rankplane` loads no module, and NumPy and

@@ -148,12 +148,12 @@ def cmd_stats_correlator(args: argparse.Namespace) -> int:
     from . import netstats, twodrank
     table = twodrank.read_rank_table(args.table)
     try:
-        alpha = float(table.meta.get("alpha", DEFAULT_ALPHA))
-        alpha_star = float(table.meta.get("alpha_star", DEFAULT_ALPHA))
+        damping = {k: float(table.meta.get(k, DEFAULT_ALPHA)) for k in ("alpha", "alpha_star")}
     except ValueError as exc:
         raise ParseError(f"bad damping factor in the table header: {exc}") from None
-    k = netstats.kappa(table.pagerank, table.cheirank)
-    point = netstats.CorrelatorPoint(k, alpha, alpha_star)
+    if not all(0.0 < d <= 1.0 for d in damping.values()):  # written so that NaN fails it
+        raise ParseError(f"bad damping factor in the table header: {damping}")
+    point = netstats.CorrelatorPoint(netstats.kappa(table.pagerank, table.cheirank), **damping)
     netstats.write_correlator_points([point], args.output)
     print(f"kappa={point.kappa!r} -> {args.output}")
     return EXIT_OK

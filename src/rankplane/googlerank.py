@@ -27,6 +27,7 @@ import numpy as np
 from . import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError
 from .graph import DirectedGraph, invert
+from .twodrank import check_probabilities
 
 if TYPE_CHECKING:  # imported where a matrix is built; see DirectedGraph.from_edges
     import scipy.sparse as sp
@@ -52,17 +53,9 @@ class RankVector:
     sweep: dict[float, RankVector] = field(default_factory=dict)
 
     def __post_init__(self):
-        total = math.fsum(self.values.tolist())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ContractViolation(
-                f"{self.kind} vector sums to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
+        check_probabilities(self.values, f"{self.kind} vector", NORMALIZATION_TOL)
         if self.alpha < 1.0 and np.any(self.values <= 0.0):
             raise ContractViolation(f"{self.kind} vector has non-positive entries")
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.values)
 
 
 def _row_block(m: sp.csr_matrix, a: int, b: int) -> sp.csr_matrix:
@@ -135,10 +128,9 @@ class GoogleOperator:
             ]
             for (a, b, _), fut in zip(self._chunks, futures):
                 y[a:b] = fut.result()
-            y *= self.alpha
         else:
             y = self.push @ v
-            y *= self.alpha
+        y *= self.alpha
         dangling_mass = float(v[self.dangling].sum()) if len(self.dangling) else 0.0
         y += (self.alpha * dangling_mass + (1.0 - self.alpha)) / self.n
         return y
@@ -239,5 +231,4 @@ def cheirank(
     workers: int = 1,
 ) -> RankVector:
     """PageRank of the link-inverted graph: highlights outgoing connectivity."""
-    rv = _power_iteration(invert(g), alpha_star, tol, max_iter, workers, kind="cheirank")
-    return rv
+    return _power_iteration(invert(g), alpha_star, tol, max_iter, workers, kind="cheirank")

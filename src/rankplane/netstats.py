@@ -22,10 +22,10 @@ from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import DEFAULT_MAX_ITER, DEFAULT_TOL, INPUT_SUM_TOL
+from . import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
 from .textio import read_series, write_series
-from .twodrank import RankTable
+from .twodrank import RankTable, check_probabilities
 
 # The graph and solver modules are imported by the two functions that use
 # them, generate_scale_free and correlator_sweep, so that the commands that
@@ -54,6 +54,8 @@ def kappa(p: np.ndarray, p_star: np.ndarray) -> float:
     The sum is exactly rounded (math.fsum), so its bits do not depend on how
     a BLAS dot would split it across threads.
     """
+    if len(p) != len(p_star):
+        raise ContractViolation(f"vector lengths differ: {len(p)} vs {len(p_star)}")
     return len(p) * math.fsum((p * p_star).tolist()) - 1.0
 
 
@@ -63,13 +65,7 @@ def correlator(p: RankVector, p_star: RankVector) -> CorrelatorPoint:
     Zero for uniform (or independent-by-construction) vectors; positive when
     nodes that collect ingoing weight also emit outgoing weight.
     """
-    if p.n_nodes != p_star.n_nodes:
-        raise ContractViolation(
-            f"vector lengths differ: {p.n_nodes} vs {p_star.n_nodes}"
-        )
-    return CorrelatorPoint(
-        kappa=kappa(p.values, p_star.values), alpha=p.alpha, alpha_star=p_star.alpha
-    )
+    return CorrelatorPoint(kappa(p.values, p_star.values), p.alpha, p_star.alpha)
 
 
 def correlator_sweep(
@@ -309,9 +305,9 @@ def fit_power_law(
     if num_bins < 1:
         raise ContractViolation(f"need at least 1 bin, got {num_bins}")
     inside = (x >= lo) & (x <= hi)
-    if np.any(y[inside] <= 0.0):
-        raise ContractViolation("zero or negative values inside the fit range")
     xs, ys = x[inside], y[inside]
+    if not np.all((ys > 0.0) & (ys < math.inf)):  # written so that NaN fails it
+        raise ContractViolation("zero, negative or non-finite values inside the fit range")
     if len(xs) < 5:
         raise ContractViolation(
             f"need at least 5 points inside the fit range, found {len(xs)}"
@@ -384,19 +380,15 @@ def sample_independent(
         raise ContractViolation("need at least one sample")
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
-    ks = _sample_curve(np.asarray(p_curve, dtype=np.float64), n, np.random.default_rng(seed))
+    ks = _sample_curve(check_probabilities(p_curve, "p_curve"), n, np.random.default_rng(seed))
     k_stars = _sample_curve(
-        np.asarray(p_star_curve, dtype=np.float64), n, np.random.default_rng(seed + 1)
+        check_probabilities(p_star_curve, "p_star_curve"), n, np.random.default_rng(seed + 1)
     )
     return ks, k_stars
 
 
 def _sample_curve(curve: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    total = float(np.sum(curve))
-    if abs(total - 1.0) > INPUT_SUM_TOL:
-        raise ContractViolation(f"rank curve sums to {total!r}, not 1")
-    if np.any(curve < 0.0):
-        raise ContractViolation("rank curve has negative entries")
+    """n ranks drawn from a checked curve or from a pmf that sums to 1 by construction."""
     cum = np.cumsum(curve)
     cum[-1] = 1.0
     ranks = np.empty(n, dtype=np.int64)

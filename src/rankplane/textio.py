@@ -151,14 +151,13 @@ def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep
     """Append a block of plain rows to the columns in one pass.
 
     Returns False, having changed nothing, when any line needs the per-line
-    parser: a blank line, a line starting with '#' or without its line end, a
-    wrong field count or a value that does not convert.
+    parser: a blank line, a line without its line end, a wrong field count or
+    a value that does not convert.  It is called only after the column line,
+    where a line starting with '#' is a row like any other.
     """
     import numpy as np
 
     text = "".join(lines)
-    if text.startswith(COMMENT_CHAR) or "\n" + COMMENT_CHAR in text:
-        return False
     # One "\n" token per line: finding all of them at the row-closing
     # positions proves that every line has len(columns) fields.
     tokens = text.replace("\n", f"{sep}\n{sep}").split(sep)

@@ -12,6 +12,7 @@ square counts once, as a right-edge entry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,33 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .textio import NodeSubset, joined_fields, read_series, write_series
+from .textio import NodeSubset, joined_fields, read_series, row_blocks, write_series
+
+# The probabilities of a solve sum to 1 but for float rounding, far below
+# this bound; a dropped or repeated row moves the sum by its probability.
+# The sum is exactly rounded (math.fsum), so the check does not depend on
+# the order of the entries.
+INPUT_SUM_TOL = 1e-9
+
+
+def check_probabilities(
+    values, what: str, tol: float | None = INPUT_SUM_TOL, error=ContractViolation
+) -> np.ndarray:
+    """values as float64, or error unless every entry lies in [0, 1] (which
+    NaN and +-inf fail) and, where tol is not None, the exactly rounded sum
+    lies within tol of 1.  The sum takes a block of entries at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    if tol is not None:
+        blocks = (values[rows].tolist() for rows in row_blocks(len(values)))
+        try:
+            total = math.fsum(itertools.chain.from_iterable(blocks))
+        except (OverflowError, ValueError):  # inf and -inf, or a sum beyond float
+            raise error(f"{what} does not sum to a finite number") from None
+        if not abs(total - 1.0) <= tol:
+            raise error(f"{what} sums to {total!r}, not 1 within {tol:g}")
+    if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise error(f"{what} has an entry outside [0, 1]")
+    return values
 
 
 def _positions(order: np.ndarray) -> np.ndarray:
@@ -101,12 +128,15 @@ def build_rank_table(
     cheirank_values: np.ndarray,
     meta: dict | None = None,
 ) -> RankTable:
-    """Assemble the full table: both rank permutations plus the combined rank."""
+    """Assemble the full table: both rank permutations plus the combined rank.
+
+    Probability vectors that read_rank_table would refuse are refused here.
+    """
     n = len(names)
     if len(pagerank_values) != n or len(cheirank_values) != n:
         raise ContractViolation("probability vectors do not match the node table")
-    pagerank = np.asarray(pagerank_values, dtype=np.float64)
-    cheirank = np.asarray(cheirank_values, dtype=np.float64)
+    pagerank = check_probabilities(pagerank_values, "pagerank")
+    cheirank = check_probabilities(cheirank_values, "cheirank")
     return _ranked_table(list(names), pagerank, cheirank, dict(meta or {}))
 
 
@@ -121,8 +151,8 @@ def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
     if len(subset) == 0:
         raise ContractViolation("subset is empty")
     rows = np.asarray(subset.members, dtype=np.int64)
-    if rows.max() >= len(table):
-        raise ContractViolation("subset member outside the table")
+    if rows.min() < 0 or rows.max() >= len(table) or len(np.unique(rows)) != len(rows):
+        raise ContractViolation("subset member outside the table or repeated")
     meta = dict(table.meta)
     meta.update(subset_label=subset.label, subset_size=len(subset))
     names = [table.names[i] for i in rows]
@@ -150,20 +180,14 @@ def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
     write_series(columns, target, meta, sep="\t")
 
 
-# The probabilities of a solve sum to 1 but for float rounding, far below
-# this bound; a dropped or repeated row moves the sum by its probability.
-# The sum is exactly rounded (math.fsum), so the check does not depend on
-# the order of the rows.
-_SUM_TOL = 1e-9
-
-
 def read_rank_table(source: str | Path | IO[str]) -> RankTable:
     """Parse a table written by write_rank_table (rows keep file order).
 
     A table that is not whole is a ParseError: a rank column that is not a
     permutation of 1..N for its N rows, an N other than the header's
-    subset_size (for a subset table) or n_nodes, and, in a full table, a
-    probability column that does not sum to 1 within _SUM_TOL.
+    subset_size (for a subset table) or n_nodes, a probability outside
+    [0, 1], and, in a full table, a probability column that does not sum to
+    1 within INPUT_SUM_TOL.
     """
     meta, columns = read_series(source, _TABLE_TYPES, sep="\t")
     names = columns.pop("name")
@@ -177,12 +201,7 @@ def read_rank_table(source: str | Path | IO[str]) -> RankTable:
     size_key = "subset_size" if "subset_size" in meta else "n_nodes"
     if size_key in meta and meta[size_key] != str(n):
         raise ParseError(f"the table has {n} rows, its header says {size_key}={meta[size_key]}")
-    if size_key == "n_nodes":
-        for key in ("pagerank", "cheirank"):
-            try:
-                total = math.fsum(columns[key].tolist())
-            except (OverflowError, ValueError):  # inf and -inf, or a sum beyond float
-                raise ParseError(f"{key} does not sum to a finite number") from None
-            if not abs(total - 1.0) <= _SUM_TOL:
-                raise ParseError(f"{key} sums to {total!r}, not 1 within {_SUM_TOL:g}")
+    tol = INPUT_SUM_TOL if size_key == "n_nodes" else None
+    for key in ("pagerank", "cheirank"):
+        check_probabilities(columns[key], key, tol, ParseError)
     return RankTable(names=names, meta=meta, **columns)

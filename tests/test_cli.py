@@ -231,6 +231,18 @@ def test_bad_damping_factor_in_table_header_exits_2(key, random_edges, tmp_path,
     assert "abc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_a_damping_factor_outside_0_1_in_the_table_header_exits_2(
+    value, random_edges, tmp_path, capsys
+):
+    """alpha=nan used to be written to the correlator file with exit 0."""
+    table = rank_table_for(random_edges, tmp_path)
+    table.write_text(table.read_text().replace(" alpha=0.85 ", f" alpha={value} ", 1))
+    assert run("stats", "correlator", table, "-o", tmp_path / "k.csv") == 2
+    assert "bad damping factor in the table header: {'alpha'" in capsys.readouterr().err
+    assert not (tmp_path / "k.csv").exists()
+
+
 def with_pagerank(lines, *values):
     """The table lines with the first rows' PageRank probabilities replaced."""
     rows = [line.split("\t") for line in lines[2 : 2 + len(values)]]
@@ -316,7 +328,9 @@ def probe_inputs(tmp_path_factory):
     a = write_list(root / "a.txt", ranked.names_by("pagerank_rank"))
     b = write_list(root / "b.txt", ranked.names_by("cheirank_rank"))
     members = write_list(root / "members.txt", ranked.names[:30])
-    return dict(edges=edges, table=table, a=a, b=b, members=members)
+    subtable = root / "subtable.tsv"
+    assert run("subset", table, members, "-o", subtable) == 0
+    return dict(edges=edges, table=table, a=a, b=b, members=members, subtable=subtable)
 
 
 @pytest.mark.parametrize(
@@ -341,13 +355,47 @@ def test_edge_flag_values_exit_cleanly_or_refuse_before_writing(
         assert code in (2, 4)
 
 
-# Every command that reads files, and its probe inputs ("{name}" marks one).
-FILE_COMMANDS = [
-    ("rank", "{edges}"),
+# The four stats commands, each on a rank table ("{table}" marks it).
+STATS_COMMANDS = [
     ("stats", "density", "{table}", "--null-samples", "200", "--seed", "3"),
     ("stats", "slice", "{table}", "--x0", "2"),
     ("stats", "correlator", "{table}"),
     ("stats", "fitcurve", "{table}"),
+]
+
+
+@pytest.mark.parametrize("column", [1, 3], ids=["pagerank", "cheirank"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1e308"])
+@pytest.mark.parametrize(
+    "template", [*STATS_COMMANDS, ("subset", "{table}", "{members}")], ids=" ".join
+)
+def test_a_subset_table_probability_outside_0_1_exits_2(
+    template, value, column, probe_inputs, tmp_path, capsys
+):
+    """A subset table is not checked for its sum, only for its entries: with
+    one of them nan, inf, -1 or 1e308 most of these commands used to write a
+    kappa, fit or grid and exit 0."""
+    lines = probe_inputs["subtable"].read_text().splitlines(keepends=True)
+    assert lines[0].startswith("#") and "subset_size=30" in lines[0]
+    fields = lines[2].split("\t")
+    fields[column] = value
+    table = tmp_path / "subtable.tsv"
+    table.write_text("".join([*lines[:2], "\t".join(fields), *lines[3:]]))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [arg.format(**{**probe_inputs, "table": table}) for arg in template]
+    assert main([*argv, "-o", str(out / "result")]) == 2
+    name = ("pagerank", "cheirank")[column // 2]
+    assert f"{name} has an entry outside [0, 1]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# Every command that reads files, and its probe inputs ("{name}" marks one);
+# the stats commands read a full table and a subset table.
+FILE_COMMANDS = [
+    ("rank", "{edges}"),
+    *STATS_COMMANDS,
+    *(tuple(arg.replace("{table}", "{subtable}") for arg in t) for t in STATS_COMMANDS),
     ("subset", "{table}", "{members}"),
     ("subset", "{table}", "{members}", "--lenient"),
     ("overlap", "curve", "{a}", "{b}"),
@@ -406,6 +454,25 @@ def test_mutated_input_files_exit_cleanly_or_refuse_before_writing(
         assert "Traceback" not in stderr.getvalue()
         if code != 0:
             assert list(out.iterdir()) == []
+        for path in out.iterdir():
+            assert non_finite_numbers(path, header=template[0] != "subset") == [], path.name
+
+
+def non_finite_numbers(path: Path, header: bool) -> list[str]:
+    """The fields of a written file that read as nan or inf: every field of
+    its rows, and with header also every header value.  A subset table's
+    header is its input table's, passed on as it was read."""
+    text = path.read_text(encoding="utf-8")
+    if not header and text.startswith("#"):
+        text = text.split("\n", 1)[1]
+    found = []
+    for field in re.split(r"[\s,=:]+", text):
+        try:
+            if not np.isfinite(float(field)):
+                found.append(field)
+        except ValueError:
+            pass
+    return found
 
 
 def test_unknown_flag_is_a_usage_error(capsys):

@@ -277,6 +277,15 @@ def test_rank_vector_contract():
         RankVector("pagerank", np.array([1.0, 0.0]), 0.85, 1, 0.0)  # zero entry
     # zero entries are admissible only in the undamped limit
     RankVector("pagerank", np.array([1.0, 0.0]), 1.0, 1, 0.0)
+    with pytest.raises(ContractViolation, match="pagerank vector sums to nan"):
+        RankVector("pagerank", np.array([math.nan, 0.5, 0.5]), 0.85, 1, 0.0)
+    with pytest.raises(ContractViolation, match="does not sum to a finite number"):
+        RankVector("pagerank", np.array([math.inf, -math.inf, 1.0]), 0.85, 1, 0.0)
+    for infinite in (math.inf, -math.inf):
+        with pytest.raises(ContractViolation, match="does not sum to a finite number|sums to"):
+            RankVector("pagerank", np.array([infinite, 1.0]), 1.0, 1, 0.0)
+    with pytest.raises(ContractViolation, match="outside \\[0, 1\\]"):
+        RankVector("pagerank", np.array([1.5, -0.5]), 1.0, 1, 0.0)  # sums to 1
 
 
 # ---- riders: smaller damping factors solved from the same iterations -----------

@@ -124,6 +124,8 @@ def test_kappa_is_the_exactly_rounded_sum():
 def test_correlator_length_mismatch():
     with pytest.raises(ContractViolation):
         correlator(uniform_vector(4), uniform_vector(5))
+    with pytest.raises(ContractViolation, match="lengths differ: 2 vs 1"):
+        kappa(np.array([0.5, 0.5]), np.array([1.0]))  # would broadcast to 1.0
 
 
 def test_correlator_sweep_diagonal_matches_fresh_solves():
@@ -400,10 +402,11 @@ def test_fit_rejects_bad_input():
             fit_power_law(x, y, bounds)  # bin edges need finite bounds
     with pytest.raises(ContractViolation):
         fit_power_law(x[:3], y[:3], (1.0, 99.0))  # too few points
-    bad = y.copy()
-    bad[10] = 0.0
-    with pytest.raises(ContractViolation):
-        fit_power_law(x, bad, (1.0, 99.0))
+    for value in (0.0, math.nan, math.inf):
+        bad = y.copy()
+        bad[10] = value
+        with pytest.raises(ContractViolation):
+            fit_power_law(x, bad, (1.0, 99.0))
     clustered_x = np.array([1.0, 1.01, 1.02, 900.0, 901.0, 902.0])
     clustered_y = clustered_x**-2.0
     with pytest.raises(ContractViolation):
@@ -464,6 +467,17 @@ def test_sample_independent_validates_the_curves():
         sample_independent(np.array([1.5, -0.5]), np.array([0.5, 0.5]), 10, seed=1)
     with pytest.raises(ContractViolation):
         sample_independent(np.array([1.0]), np.array([1.0]), 0, seed=1)
+    half = np.array([0.5, 0.5])
+    for curve, cause in (
+        ([math.nan, 0.5, 0.5], "p_curve sums to nan"),
+        ([math.inf, -math.inf, 1.0], "p_curve does not sum to a finite number"),
+        ([math.inf, 0.5], "p_curve sums to inf"),
+        ([-math.inf, 0.5], "p_curve sums to -inf"),
+    ):
+        with pytest.raises(ContractViolation, match=cause):
+            sample_independent(np.array(curve), half, 10, seed=1)
+    with pytest.raises(ContractViolation, match="p_star_curve sums to nan"):
+        sample_independent(half, np.array([math.nan, 0.5, 0.5]), 10, seed=1)
 
 
 @pytest.mark.parametrize(

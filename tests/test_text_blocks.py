@@ -144,8 +144,8 @@ def reference_read_rank_table(source) -> RankTable:
 
 def reference_check_table(table: RankTable) -> RankTable:
     """The table, unless a rank column is not a permutation of 1..N, N is not
-    the header's subset_size or n_nodes, or in a full table a probability
-    column does not sum to 1 within 1e-9."""
+    the header's subset_size or n_nodes, a probability lies outside [0, 1],
+    or in a full table a probability column does not sum to 1 within 1e-9."""
     n = len(table.names)
     for col in ("pagerank_rank", "cheirank_rank", "rank2d"):
         if sorted(getattr(table, col).tolist()) != list(range(1, n + 1)):
@@ -161,6 +161,9 @@ def reference_check_table(table: RankTable) -> RankTable:
                 total = math.nan
             if not abs(total - 1.0) <= 1e-9:
                 raise ParseError(f"{col} does not sum to 1")
+    for col in ("pagerank", "cheirank"):
+        if not all(0.0 <= p <= 1.0 for p in getattr(table, col).tolist()):
+            raise ParseError(f"{col} has an entry outside [0, 1]")
     return table
 
 

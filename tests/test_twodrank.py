@@ -7,6 +7,7 @@ once — independent of the vectorized implementation.
 
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -295,3 +296,45 @@ def test_subset_rank_rejects_bad_subsets():
         subset_rank(t, NodeSubset("empty", (), ()))
     with pytest.raises(ContractViolation):
         subset_rank(t, NodeSubset("oob", (99,), ("zz",)))
+    # -1 used to wrap to the last row, and a repeated member to give a
+    # table holding its name twice
+    for members in ((-1, 0), (0, 0)):
+        with pytest.raises(ContractViolation, match="outside the table or repeated"):
+            subset_rank(t, NodeSubset("x", members))
+
+
+@pytest.mark.parametrize(
+    "pagerank, cause",
+    [
+        ([0.3, 0.3], "pagerank sums to 0.6, not 1"),
+        ([math.nan, 1.0], "pagerank sums to nan"),
+        ([math.inf, -math.inf], "pagerank does not sum to a finite number"),
+        ([1.5, -0.5], "pagerank has an entry outside"),
+    ],
+)
+def test_build_rank_table_refuses_what_the_reader_refuses(pagerank, cause):
+    with pytest.raises(ContractViolation, match=cause):
+        build_rank_table(["a", "b"], pagerank, [0.5, 0.5])
+    with pytest.raises(ContractViolation, match=cause.replace("pagerank", "cheirank")):
+        build_rank_table(["a", "b"], [0.5, 0.5], pagerank)
+    text = "# n_nodes=2\nname\tpagerank\tpagerank_rank\tcheirank\tcheirank_rank\trank2d\n"
+    text += "".join(f"{n}\t{p!r}\t{i}\t0.5\t{i}\t{i}\n" for i, (n, p) in enumerate(zip("ab", pagerank), 1))
+    with pytest.raises(ParseError, match=cause):
+        read_rank_table(io.StringIO(text))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "1e308", "1.5"])
+def test_a_subset_table_probability_outside_0_1_is_refused(value):
+    """A subset table need not sum to 1, but each probability lies in [0, 1]."""
+    sub = subset_rank(small_table(), NodeSubset("s", (0, 1)))
+    buf = io.StringIO()
+    write_rank_table(sub, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert read_rank_table(io.StringIO("".join(lines))).meta["subset_size"] == "2"
+    for column in (1, 3):
+        fields = lines[2].split("\t")
+        fields[column] = value
+        edited = lines[:2] + ["\t".join(fields)] + lines[3:]
+        name = ("pagerank", "cheirank")[column // 2]
+        with pytest.raises(ParseError, match=f"{name} has an entry outside"):
+            read_rank_table(io.StringIO("".join(edited)))
