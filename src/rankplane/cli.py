@@ -147,12 +147,7 @@ def cmd_stats_slice(args: argparse.Namespace) -> int:
 def cmd_stats_correlator(args: argparse.Namespace) -> int:
     from . import netstats, twodrank
     table = twodrank.read_rank_table(args.table)
-    try:
-        damping = {k: float(table.meta.get(k, DEFAULT_ALPHA)) for k in ("alpha", "alpha_star")}
-    except ValueError as exc:
-        raise ParseError(f"bad damping factor in the table header: {exc}") from None
-    if not all(0.0 < d <= 1.0 for d in damping.values()):  # written so that NaN fails it
-        raise ParseError(f"bad damping factor in the table header: {damping}")
+    damping = {k: float(table.meta.get(k, DEFAULT_ALPHA)) for k in ("alpha", "alpha_star")}
     point = netstats.CorrelatorPoint(netstats.kappa(table.pagerank, table.cheirank), **damping)
     netstats.write_correlator_points([point], args.output)
     print(f"kappa={point.kappa!r} -> {args.output}")

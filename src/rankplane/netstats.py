@@ -25,7 +25,7 @@ import numpy as np
 from . import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
 from .textio import read_series, write_series
-from .twodrank import RankTable, check_probabilities
+from .twodrank import RankTable, check_probabilities, exact_sum
 
 # The graph and solver modules are imported by the two functions that use
 # them, generate_scale_free and correlator_sweep, so that the commands that
@@ -56,7 +56,7 @@ def kappa(p: np.ndarray, p_star: np.ndarray) -> float:
     """
     if len(p) != len(p_star):
         raise ContractViolation(f"vector lengths differ: {len(p)} vs {len(p_star)}")
-    return len(p) * math.fsum((p * p_star).tolist()) - 1.0
+    return len(p) * exact_sum(p, p_star) - 1.0
 
 
 def correlator(p: RankVector, p_star: RankVector) -> CorrelatorPoint:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping
@@ -30,17 +31,25 @@ from .textio import NodeSubset, joined_fields, read_series, row_blocks, write_se
 INPUT_SUM_TOL = 1e-9
 
 
+def exact_sum(values: np.ndarray, other: np.ndarray | None = None) -> float:
+    """The exactly rounded sum (math.fsum) of values, or of values * other,
+    taken one block of entries at a time, so that no list of all the terms
+    is built."""
+    blocks = (values[rows] if other is None else values[rows] * other[rows]
+              for rows in row_blocks(len(values)))
+    return math.fsum(itertools.chain.from_iterable(block.tolist() for block in blocks))
+
+
 def check_probabilities(
     values, what: str, tol: float | None = INPUT_SUM_TOL, error=ContractViolation
 ) -> np.ndarray:
     """values as float64, or error unless every entry lies in [0, 1] (which
     NaN and +-inf fail) and, where tol is not None, the exactly rounded sum
-    lies within tol of 1.  The sum takes a block of entries at a time."""
+    lies within tol of 1."""
     values = np.asarray(values, dtype=np.float64)
     if tol is not None:
-        blocks = (values[rows].tolist() for rows in row_blocks(len(values)))
         try:
-            total = math.fsum(itertools.chain.from_iterable(blocks))
+            total = exact_sum(values)
         except (OverflowError, ValueError):  # inf and -inf, or a sum beyond float
             raise error(f"{what} does not sum to a finite number") from None
         if not abs(total - 1.0) <= tol:
@@ -50,6 +59,13 @@ def check_probabilities(
     return values
 
 
+def _check_distinct(names: list[str], error) -> None:
+    """error naming the first name that appears more than once, if any does."""
+    if len(set(names)) != len(names):
+        repeated = next(name for name, count in Counter(names).items() if count > 1)
+        raise error(f"node name {repeated!r} is on more than one row")
+
+
 def _positions(order: np.ndarray) -> np.ndarray:
     """The 1-based positions of a permutation: the inverse of order."""
     position = np.empty(len(order), dtype=np.int64)
@@ -57,16 +73,9 @@ def _positions(order: np.ndarray) -> np.ndarray:
     return position
 
 
-def rank_positions(values: np.ndarray, tie_key: np.ndarray | None = None) -> np.ndarray:
-    """Stable descending rank positions of a score vector.
-
-    tie_key overrides the default node-index tie-break (used when re-ranking
-    rows whose original index order is encoded in an existing rank column).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if tie_key is None:
-        return _positions(np.argsort(-values, kind="stable"))
-    return _positions(np.lexsort((np.asarray(tie_key), -values)))
+def rank_positions(values: np.ndarray) -> np.ndarray:
+    """Stable descending rank positions of a score vector (ties by index)."""
+    return _positions(np.argsort(-np.asarray(values, dtype=np.float64), kind="stable"))
 
 
 def two_d_rank(k: np.ndarray, k_star: np.ndarray) -> np.ndarray:
@@ -113,15 +122,6 @@ class RankTable:
         return [self.names[i] for i in np.argsort(ranks)]
 
 
-def _ranked_table(
-    names: list[str], pagerank: np.ndarray, cheirank: np.ndarray, meta: dict, ties=(None, None)
-) -> RankTable:
-    """The table of both probability columns ranked (ties by `ties`, else by row) and combined."""
-    k = rank_positions(pagerank, ties[0])
-    k_star = rank_positions(cheirank, ties[1])
-    return RankTable(names, pagerank, cheirank, k, k_star, two_d_rank(k, k_star), meta)
-
-
 def build_rank_table(
     names: list[str],
     pagerank_values: np.ndarray,
@@ -130,23 +130,28 @@ def build_rank_table(
 ) -> RankTable:
     """Assemble the full table: both rank permutations plus the combined rank.
 
-    Probability vectors that read_rank_table would refuse are refused here.
+    Probability vectors and names that read_rank_table would refuse are
+    refused here.
     """
     n = len(names)
     if len(pagerank_values) != n or len(cheirank_values) != n:
         raise ContractViolation("probability vectors do not match the node table")
     pagerank = check_probabilities(pagerank_values, "pagerank")
     cheirank = check_probabilities(cheirank_values, "cheirank")
-    return _ranked_table(list(names), pagerank, cheirank, dict(meta or {}))
+    _check_distinct(names, ContractViolation)
+    k, k_star = rank_positions(pagerank), rank_positions(cheirank)
+    return RankTable(
+        list(names), pagerank, cheirank, k, k_star, two_d_rank(k, k_star), dict(meta or {})
+    )
 
 
 def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
     """Re-rank a category densely (1..|subset|) by the global probabilities.
 
     The combined rank is recomputed on the dense sub-ranks, so it depends
-    only on how members order among themselves, not on outsiders.  Ties
-    follow the parent table's order (its rank columns encode the original
-    tie-break).
+    only on how members order among themselves, not on outsiders.  Members
+    keep their order in the parent's rank columns, which follow its
+    probabilities in every table build_rank_table or read_rank_table returns.
     """
     if len(subset) == 0:
         raise ContractViolation("subset is empty")
@@ -156,8 +161,11 @@ def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
     meta = dict(table.meta)
     meta.update(subset_label=subset.label, subset_size=len(subset))
     names = [table.names[i] for i in rows]
-    ties = (table.pagerank_rank[rows], table.cheirank_rank[rows])
-    return _ranked_table(names, table.pagerank[rows], table.cheirank[rows], meta, ties)
+    k = _positions(np.argsort(table.pagerank_rank[rows]))
+    k_star = _positions(np.argsort(table.cheirank_rank[rows]))
+    return RankTable(
+        names, table.pagerank[rows], table.cheirank[rows], k, k_star, two_d_rank(k, k_star), meta
+    )
 
 
 # ---- persistence -----------------------------------------------------------
@@ -186,8 +194,10 @@ def read_rank_table(source: str | Path | IO[str]) -> RankTable:
     A table that is not whole is a ParseError: a rank column that is not a
     permutation of 1..N for its N rows, an N other than the header's
     subset_size (for a subset table) or n_nodes, a probability outside
-    [0, 1], and, in a full table, a probability column that does not sum to
-    1 within INPUT_SUM_TOL.
+    [0, 1], in a full table a probability column that does not sum to 1
+    within INPUT_SUM_TOL, a probability that rises from one rank to the
+    next (ties may come in any order), a header alpha or alpha_star outside
+    (0, 1], and a node name on two rows.
     """
     meta, columns = read_series(source, _TABLE_TYPES, sep="\t")
     names = columns.pop("name")
@@ -204,4 +214,16 @@ def read_rank_table(source: str | Path | IO[str]) -> RankTable:
     tol = INPUT_SUM_TOL if size_key == "n_nodes" else None
     for key in ("pagerank", "cheirank"):
         check_probabilities(columns[key], key, tol, ParseError)
+    for key in ("pagerank", "cheirank"):
+        by_rank = np.empty(n)
+        by_rank[columns[f"{key}_rank"] - 1] = columns[key]
+        if np.any(by_rank[1:] > by_rank[:-1]):
+            raise ParseError(f"{key}_rank does not follow the {key} column")
+    try:
+        damping = {k: float(meta[k]) for k in ("alpha", "alpha_star") if k in meta}
+    except ValueError as exc:
+        raise ParseError(f"bad damping factor in the table header: {exc}") from None
+    if not all(0.0 < d <= 1.0 for d in damping.values()):  # written so that NaN fails it
+        raise ParseError(f"bad damping factor in the table header: {damping}")
+    _check_distinct(names, ParseError)
     return RankTable(names=names, meta=meta, **columns)

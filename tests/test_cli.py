@@ -390,6 +390,60 @@ def test_a_subset_table_probability_outside_0_1_exits_2(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("column", ["pagerank", "cheirank"])
+@pytest.mark.parametrize(
+    "template", [*STATS_COMMANDS, ("subset", "{table}", "{members}")], ids=" ".join
+)
+def test_a_rank_column_that_does_not_follow_its_probabilities_exits_2(
+    template, column, probe_inputs, tmp_path, capsys
+):
+    """The ranks 1 and N swapped between two rows of unequal probability
+    used to be read as they stood: subset re-ranked the members by their
+    probabilities, and every command exited 0."""
+    lines = probe_inputs["table"].read_text().splitlines(keepends=True)
+    rows = [line.split("\t") for line in lines[2:]]
+    at = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank").index(f"{column}_rank")
+    best, worst = (next(row for row in rows if row[at] == str(k)) for k in (1, len(rows)))
+    assert float(best[at - 1]) > float(worst[at - 1])
+    best[at], worst[at] = worst[at], best[at]
+    table = tmp_path / "table.tsv"
+    table.write_text("".join([*lines[:2], *("\t".join(row) for row in rows)]))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [arg.format(**{**probe_inputs, "table": table}) for arg in template]
+    assert main([*argv, "-o", str(out / "result")]) == 2
+    assert f"{column}_rank does not follow the {column} column" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "abc", "0"])
+def test_subset_refuses_a_bad_damping_factor_in_the_table_header(
+    value, probe_inputs, tmp_path, capsys
+):
+    """subset used to pass alpha=nan on into its own table's header, with exit 0."""
+    table = tmp_path / "table.tsv"
+    text = probe_inputs["table"].read_text()
+    assert " alpha=0.85 " in text
+    table.write_text(text.replace(" alpha=0.85 ", f" alpha={value} ", 1))
+    out = tmp_path / "sub.tsv"
+    assert run("subset", table, probe_inputs["members"], "-o", out) == 2
+    assert "bad damping factor in the table header" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subset_of_a_table_that_holds_a_name_twice_exits_2(probe_inputs, tmp_path, capsys):
+    """subset used to take the last row of a repeated name, with exit 0."""
+    lines = probe_inputs["table"].read_text().splitlines(keepends=True)
+    name = lines[2].split("\t", 1)[0]
+    lines[3] = name + "\t" + lines[3].split("\t", 1)[1]
+    table = tmp_path / "table.tsv"
+    table.write_text("".join(lines))
+    out = tmp_path / "sub.tsv"
+    assert run("subset", table, probe_inputs["members"], "-o", out) == 2
+    assert f"node name {name!r} is on more than one row" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Every command that reads files, and its probe inputs ("{name}" marks one);
 # the stats commands read a full table and a subset table.
 FILE_COMMANDS = [

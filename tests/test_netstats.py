@@ -119,6 +119,22 @@ def test_kappa_bits_do_not_depend_on_blas_threads():
 def test_kappa_is_the_exactly_rounded_sum():
     # A running sum loses the 1.0 against 1e16; the exact sum keeps it.
     assert kappa(np.ones(3), np.array([1e16, 1.0, -1e16])) == 3 * 1.0 - 1.0
+    # Summed a block of 8,192 products at a time, over blocks and a ragged end.
+    rng = np.random.default_rng(4)
+    p, q = rng.random(3 * 8192 + 5), rng.random(3 * 8192 + 5)
+    assert kappa(p, q) == len(p) * math.fsum((p * q).tolist()) - 1.0
+
+
+def test_kappa_does_not_hold_all_its_products_at_once():
+    """A list of 10^6 products as Python floats takes 40 MB."""
+    p = np.full(10**6, 1e-6)
+    tracemalloc.start()
+    try:
+        kappa(p, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_correlator_length_mismatch():

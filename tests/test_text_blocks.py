@@ -145,7 +145,8 @@ def reference_read_rank_table(source) -> RankTable:
 def reference_check_table(table: RankTable) -> RankTable:
     """The table, unless a rank column is not a permutation of 1..N, N is not
     the header's subset_size or n_nodes, a probability lies outside [0, 1],
-    or in a full table a probability column does not sum to 1 within 1e-9."""
+    in a full table a probability column does not sum to 1 within 1e-9, a
+    probability rises from one rank to the next, or a name is on two rows."""
     n = len(table.names)
     for col in ("pagerank_rank", "cheirank_rank", "rank2d"):
         if sorted(getattr(table, col).tolist()) != list(range(1, n + 1)):
@@ -164,6 +165,13 @@ def reference_check_table(table: RankTable) -> RankTable:
     for col in ("pagerank", "cheirank"):
         if not all(0.0 <= p <= 1.0 for p in getattr(table, col).tolist()):
             raise ParseError(f"{col} has an entry outside [0, 1]")
+    for col in ("pagerank", "cheirank"):
+        by_rank = [p for _, p in sorted(zip(getattr(table, col + "_rank").tolist(),
+                                            getattr(table, col).tolist()))]
+        if any(later > earlier for earlier, later in zip(by_rank, by_rank[1:])):
+            raise ParseError(f"{col}_rank does not follow {col}")
+    if len(set(table.names)) != n:
+        raise ParseError("a name is on two rows")
     return table
 
 
@@ -446,23 +454,44 @@ def int_forms(value: int) -> list[str]:
             "".join(chr(0x660 + int(d)) for d in digits)]
 
 
+def ranks_by(values: list[float], tie_order: list[int]) -> list[int]:
+    """Each row's 1-based rank by descending value, equal values in tie_order."""
+    ranks = [0] * len(values)
+    for position, i in enumerate(sorted(tie_order, key=lambda i: -values[i]), start=1):
+        ranks[i] = position
+    return ranks
+
+
 @st.composite
 def whole_table_texts(draw):
     """Tables a solve could have written, each number in any text float() or
     int() reads the same, some with a row repeated or dropped, a rank
-    changed, or a header that gives another size."""
+    changed, two ranks of unequal probabilities swapped, a name repeated, or
+    a header that gives another size."""
     n = draw(st.integers(1, 8))
-    columns = []
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    columns, ranks = [], []
     for _ in range(2):
-        weights = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+        weights = draw(st.lists(st.integers(1, draw(st.sampled_from([2, 1000]))), min_size=n, max_size=n))
         columns.append([w / sum(weights) for w in weights])
-    ranks = [draw(st.permutations(range(1, n + 1))) for _ in range(3)]
+        ranks.append(ranks_by(columns[-1], draw(st.permutations(range(n)))))
+    ranks.append(draw(st.permutations(range(1, n + 1))))
+    fault = draw(st.sampled_from(["none"] * 4 + ["repeat", "drop", "rank", "order", "name"]))
+    if fault == "order":
+        column = draw(st.integers(0, 1))
+        values = columns[column]
+        unequal = [(i, j) for i in range(n) for j in range(i) if values[i] != values[j]]
+        if unequal:
+            i, j = draw(st.sampled_from(unequal))
+            ranks[column][i], ranks[column][j] = ranks[column][j], ranks[column][i]
+    elif fault == "name" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        names[i] = names[j]
     rows = []
     for i in range(n):
         floats = [draw(st.sampled_from([repr(p), f" {p!r}", f"{p!r} "])) for p in (c[i] for c in columns)]
         ints = [draw(st.sampled_from(int_forms(r[i]))) for r in ranks]
-        rows.append([draw(NAMES), floats[0], ints[0], floats[1], ints[1], ints[2]])
-    fault = draw(st.sampled_from(["none"] * 4 + ["repeat", "drop", "rank"]))
+        rows.append([names[i], floats[0], ints[0], floats[1], ints[1], ints[2]])
     if fault == "repeat":
         rows.append(rows[draw(st.integers(0, n - 1))])
     elif fault == "drop" and n > 1:

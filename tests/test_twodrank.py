@@ -118,12 +118,6 @@ def test_rank_indices_ties_break_by_node_index():
     np.testing.assert_array_equal(position, [2, 1, 3])
 
 
-def test_rank_indices_tie_key_override():
-    # same scores, but the tie key reverses the preference
-    position = rank_positions(np.array([0.25, 0.5, 0.25]), tie_key=np.array([9, 0, 1]))
-    np.testing.assert_array_equal(position, [3, 1, 2])
-
-
 # ---- rank tables -------------------------------------------------------------
 
 
@@ -145,6 +139,17 @@ def test_build_rank_table_columns():
 def test_build_rank_table_validates_lengths():
     with pytest.raises(ContractViolation):
         build_rank_table(["a"], np.array([1.0]), np.array([0.5, 0.5]))
+
+
+def test_a_node_name_on_two_rows_is_refused():
+    """subset used to take the last of the rows named a, with exit 0."""
+    with pytest.raises(ContractViolation, match="node name 'a' is on more than one row"):
+        build_rank_table(["a", "b", "a"], [0.5, 0.25, 0.25], [0.25, 0.5, 0.25])
+    buf = io.StringIO()
+    write_rank_table(build_rank_table(["a", "b", "c"], [0.5, 0.25, 0.25], [0.25, 0.5, 0.25]), buf)
+    text = buf.getvalue().replace("\nc\t", "\na\t")
+    with pytest.raises(ParseError, match="node name 'a' is on more than one row"):
+        read_rank_table(io.StringIO(text))
 
 
 def test_names_by():
