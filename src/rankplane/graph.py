@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class IngestStats:
     """What only the loader saw.  The merged graph gives the rest: its
-    n_edges, self_loop_count(), and lines - n_edges duplicates merged."""
+    n_edges, and lines - n_edges duplicates merged."""
 
     lines: int  # edge records before merging
     sha256: str | None = None  # of the file read; None for a caller's stream
@@ -143,34 +143,6 @@ class DirectedGraph:
         if self._out_weight is None:
             self._out_weight = np.asarray(self.adj.sum(axis=1), dtype=np.float64).ravel()
         return self._out_weight
-
-    def in_weight(self) -> np.ndarray:
-        return np.bincount(
-            self.adj.indices, weights=self.adj.data, minlength=self.n_nodes
-        )
-
-    def self_loop_count(self) -> int:
-        return int(np.count_nonzero(self.adj.diagonal()))
-
-    def same_structure(self, other: "DirectedGraph") -> bool:
-        """Structural equality: same node names and the same merged edge
-        multiset between them.
-
-        Internal numbering is an artifact of file appearance order, so it is
-        factored out: the graphs are compared under the name correspondence.
-        """
-        if self.names == other.names:
-            return (
-                self.adj.shape == other.adj.shape
-                and np.array_equal(self.adj.indptr, other.adj.indptr)
-                and np.array_equal(self.adj.indices, other.adj.indices)
-                and np.array_equal(self.adj.data, other.adj.data)
-            )
-        if sorted(self.names) != sorted(other.names):
-            return False
-        perm = np.asarray([other.name_index[name] for name in self.names])
-        remapped = other.adj[perm][:, perm]
-        return self.adj.nnz == remapped.nnz and (self.adj != remapped).nnz == 0
 
     def content_hash(self) -> str:
         """Stable hex digest of the node table plus canonical CSR arrays,

@@ -175,10 +175,6 @@ class DensityGrid:
     def w(self) -> np.ndarray:
         return self.counts / self.n_samples
 
-    def cell_of(self, rank: int) -> int:
-        """Cell index along one axis for a 1-based rank."""
-        return int(_cell(math.log(rank), self.axis_max / self.cells, self.cells))
-
     def density_per_area(self) -> np.ndarray:
         """Differential density: count / (samples * linear-rank cell area)."""
         edges = np.exp(np.linspace(0.0, self.axis_max, self.cells + 1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,30 +41,39 @@ def exact_sum(values: np.ndarray, other: np.ndarray | None = None) -> float:
     return math.fsum(itertools.chain.from_iterable(block.tolist() for block in blocks))
 
 
-def check_probabilities(
-    values, what: str, tol: float | None = INPUT_SUM_TOL, error=ContractViolation
-) -> np.ndarray:
-    """values as float64, or error unless every entry lies in [0, 1] (which
-    NaN and +-inf fail) and, where tol is not None, the exactly rounded sum
-    lies within tol of 1."""
+def check_probabilities(values, what: str, tol: float | None = INPUT_SUM_TOL) -> np.ndarray:
+    """values as float64, or ContractViolation unless every entry lies in
+    [0, 1] (which NaN and +-inf fail) and, where tol is not None, the
+    exactly rounded sum lies within tol of 1."""
     values = np.asarray(values, dtype=np.float64)
     if tol is not None:
         try:
             total = exact_sum(values)
         except (OverflowError, ValueError):  # inf and -inf, or a sum beyond float
-            raise error(f"{what} does not sum to a finite number") from None
+            raise ContractViolation(f"{what} does not sum to a finite number") from None
         if not abs(total - 1.0) <= tol:
-            raise error(f"{what} sums to {total!r}, not 1 within {tol:g}")
+            raise ContractViolation(f"{what} sums to {total!r}, not 1 within {tol:g}")
     if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
-        raise error(f"{what} has an entry outside [0, 1]")
+        raise ContractViolation(f"{what} has an entry outside [0, 1]")
     return values
 
 
-def _check_distinct(names: list[str], error) -> None:
-    """error naming the first name that appears more than once, if any does."""
-    if len(set(names)) != len(names):
-        repeated = next(name for name, count in Counter(names).items() if count > 1)
-        raise error(f"node name {repeated!r} is on more than one row")
+def _number(text: str) -> float:
+    """text as float() reads it, or NaN where float() refuses it."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+# The header values the package writes besides alpha and alpha_star: the
+# test each one's text must pass in a table of n rows.  NaN fails each test.
+_HEADER = {
+    "tol": lambda text, n: 0.0 < _number(text) < math.inf,
+    "max_iter": lambda text, n: text.isascii() and text.isdigit() and float(text) >= 1,
+    "n_nodes": lambda text, n: text.isascii() and text.isdigit() and float(text) >= n,
+    "graph_hash": lambda text, n: re.fullmatch("[0-9a-f]{16}", text) is not None,
+}
 
 
 def _positions(order: np.ndarray) -> np.ndarray:
@@ -95,7 +105,13 @@ def two_d_rank(k: np.ndarray, k_star: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RankTable:
-    """Per-node ranking record: probabilities plus the three rank columns."""
+    """Per-node ranking record: probabilities plus the three rank columns.
+
+    However it is made, a table is whole or refused with ContractViolation:
+    its columns become float64 and int64 arrays of one entry per name (copied
+    only where they are not already), and __post_init__ checks every other
+    guarantee README's "File formats" lists, the header values of _HEADER too.
+    """
 
     names: list[str]
     pagerank: np.ndarray
@@ -105,7 +121,43 @@ class RankTable:
     rank2d: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    _name_index: dict | None = field(default=None, repr=False, compare=False)
+    _name_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, meta = len(self.names), {k: str(v) for k, v in self.meta.items()}
+        # Sorted hashes take 8 bytes a name, a set about 40; equal hashes go to the set.
+        hashes = np.sort(np.fromiter(map(hash, self.names), np.int64, n))
+        distinct = not np.any(hashes[1:] == hashes[:-1]) or len(set(self.names)) == n
+        for key, code in list(_TABLE_TYPES.items())[1:]:
+            setattr(self, key, np.asarray(getattr(self, key)).astype(code, copy=False))
+            if getattr(self, key).shape != (n,):
+                raise ContractViolation(f"{key} does not hold one entry per name")
+        for key in ("pagerank_rank", "cheirank_rank", "rank2d"):
+            ranks = getattr(self, key)
+            if not n or ranks.min() < 1 or ranks.max() > n or np.any(np.bincount(ranks)[1:] != 1):
+                raise ContractViolation(f"{key} is not a permutation of 1..{n}, the table's rows")
+        size_key = "subset_size" if "subset_size" in meta else "n_nodes"
+        if size_key in meta and meta[size_key] != str(n):
+            raise ContractViolation(f"the table has {n} rows, its header says {size_key}={meta[size_key]}")
+        for key in ("pagerank", "cheirank"):
+            check_probabilities(getattr(self, key), key, INPUT_SUM_TOL if size_key == "n_nodes" else None)
+        for key in ("pagerank", "cheirank"):
+            by_rank = np.empty(n)
+            by_rank[getattr(self, f"{key}_rank") - 1] = getattr(self, key)
+            if np.any(by_rank[1:] > by_rank[:-1]):
+                raise ContractViolation(f"{key}_rank does not follow the {key} column")
+        try:
+            damping = {k: float(meta[k]) for k in ("alpha", "alpha_star") if k in meta}
+        except ValueError as exc:
+            raise ContractViolation(f"bad damping factor in the table header: {exc}") from None
+        if not all(0.0 < d <= 1.0 for d in damping.values()):  # written so that NaN fails it
+            raise ContractViolation(f"bad damping factor in the table header: {damping}")
+        for key, test in _HEADER.items():
+            if key in meta and not test(meta[key], n):
+                raise ContractViolation(f"bad {key} in the table header: {meta[key]}")
+        if not distinct:
+            repeated = next(name for name, count in Counter(self.names).items() if count > 1)
+            raise ContractViolation(f"node name {repeated!r} is on more than one row")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -128,21 +180,12 @@ def build_rank_table(
     cheirank_values: np.ndarray,
     meta: dict | None = None,
 ) -> RankTable:
-    """Assemble the full table: both rank permutations plus the combined rank.
-
-    Probability vectors and names that read_rank_table would refuse are
-    refused here.
-    """
-    n = len(names)
-    if len(pagerank_values) != n or len(cheirank_values) != n:
+    """Assemble the full table: both rank permutations plus the combined rank."""
+    if not len(pagerank_values) == len(cheirank_values) == len(names):
         raise ContractViolation("probability vectors do not match the node table")
-    pagerank = check_probabilities(pagerank_values, "pagerank")
-    cheirank = check_probabilities(cheirank_values, "cheirank")
-    _check_distinct(names, ContractViolation)
-    k, k_star = rank_positions(pagerank), rank_positions(cheirank)
-    return RankTable(
-        list(names), pagerank, cheirank, k, k_star, two_d_rank(k, k_star), dict(meta or {})
-    )
+    k, k_star = rank_positions(pagerank_values), rank_positions(cheirank_values)
+    return RankTable(list(names), pagerank_values, cheirank_values, k, k_star,
+                     two_d_rank(k, k_star), dict(meta or {}))
 
 
 def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
@@ -151,7 +194,7 @@ def subset_rank(table: RankTable, subset: NodeSubset) -> RankTable:
     The combined rank is recomputed on the dense sub-ranks, so it depends
     only on how members order among themselves, not on outsiders.  Members
     keep their order in the parent's rank columns, which follow its
-    probabilities in every table build_rank_table or read_rank_table returns.
+    probabilities in every RankTable; the result is checked like every table.
     """
     if len(subset) == 0:
         raise ContractViolation("subset is empty")
@@ -190,40 +233,12 @@ def write_rank_table(table: RankTable, target: str | Path | IO[str]) -> None:
 
 def read_rank_table(source: str | Path | IO[str]) -> RankTable:
     """Parse a table written by write_rank_table (rows keep file order).
-
-    A table that is not whole is a ParseError: a rank column that is not a
-    permutation of 1..N for its N rows, an N other than the header's
-    subset_size (for a subset table) or n_nodes, a probability outside
-    [0, 1], in a full table a probability column that does not sum to 1
-    within INPUT_SUM_TOL, a probability that rises from one rank to the
-    next (ties may come in any order), a header alpha or alpha_star outside
-    (0, 1], and a node name on two rows.
-    """
+    An empty file, or a table RankTable refuses, is a ParseError."""
     meta, columns = read_series(source, _TABLE_TYPES, sep="\t")
     names = columns.pop("name")
     if not names:
         raise ParseError("empty rank table file")
-    n = len(names)
-    for key in ("pagerank_rank", "cheirank_rank", "rank2d"):
-        ranks = columns[key]
-        if ranks.min() < 1 or ranks.max() > n or np.any(np.bincount(ranks, minlength=n + 1)[1:] != 1):
-            raise ParseError(f"{key} is not a permutation of 1..{n}, the table's rows")
-    size_key = "subset_size" if "subset_size" in meta else "n_nodes"
-    if size_key in meta and meta[size_key] != str(n):
-        raise ParseError(f"the table has {n} rows, its header says {size_key}={meta[size_key]}")
-    tol = INPUT_SUM_TOL if size_key == "n_nodes" else None
-    for key in ("pagerank", "cheirank"):
-        check_probabilities(columns[key], key, tol, ParseError)
-    for key in ("pagerank", "cheirank"):
-        by_rank = np.empty(n)
-        by_rank[columns[f"{key}_rank"] - 1] = columns[key]
-        if np.any(by_rank[1:] > by_rank[:-1]):
-            raise ParseError(f"{key}_rank does not follow the {key} column")
     try:
-        damping = {k: float(meta[k]) for k in ("alpha", "alpha_star") if k in meta}
-    except ValueError as exc:
-        raise ParseError(f"bad damping factor in the table header: {exc}") from None
-    if not all(0.0 < d <= 1.0 for d in damping.values()):  # written so that NaN fails it
-        raise ParseError(f"bad damping factor in the table header: {damping}")
-    _check_distinct(names, ParseError)
-    return RankTable(names=names, meta=meta, **columns)
+        return RankTable(names=names, meta=meta, **columns)
+    except ContractViolation as exc:
+        raise ParseError(str(exc)) from None

@@ -431,6 +431,25 @@ def test_subset_refuses_a_bad_damping_factor_in_the_table_header(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "source, key, value",
+    [("table", "tol", "nan"), ("table", "max_iter", "-5"), ("table", "graph_hash", "xyz"),
+     ("subtable", "n_nodes", "29")],
+)
+def test_subset_refuses_a_bad_header_value(source, key, value, probe_inputs, tmp_path, capsys):
+    """subset used to pass each of these on into its own table's header,
+    with exit 0; the subset table has 30 rows."""
+    table = tmp_path / "table.tsv"
+    head, rest = probe_inputs[source].read_text().split("\n", 1)
+    edited, count = re.subn(rf"(?<= {key}=)\S+", value, head)
+    assert count == 1
+    table.write_text(edited + "\n" + rest)
+    out = tmp_path / "sub.tsv"
+    assert run("subset", table, probe_inputs["members"], "-o", out) == 2
+    assert f"bad {key} in the table header: {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subset_of_a_table_that_holds_a_name_twice_exits_2(probe_inputs, tmp_path, capsys):
     """subset used to take the last row of a repeated name, with exit 0."""
     lines = probe_inputs["table"].read_text().splitlines(keepends=True)

@@ -180,7 +180,7 @@ def test_push_matrix_is_bitwise_the_reference(monkeypatch, workers):
     edgeless = DirectedGraph(["a", "b", "c"], sp.csr_matrix((3, 3), dtype=np.int64))
     graphs = [multigraph(seed) for seed in range(4)]
     for g in graphs:
-        assert g.self_loop_count() and g.adj.data.max() > 1 and (g.out_weight() == 0).any()
+        assert g.adj.diagonal().any() and g.adj.data.max() > 1 and (g.out_weight() == 0).any()
     graphs.append(edgeless)
     for g in graphs + [invert(g) for g in graphs]:
         expected = reference_push(g)
@@ -297,7 +297,7 @@ SWEEP = (0.3, 0.5, 0.7, 0.8, 0.85)
 @pytest.mark.parametrize("direction", ["forward", "inverted"])
 def test_each_rider_is_its_own_power_iteration(seed, direction):
     g = multigraph(seed)
-    assert g.self_loop_count() and g.adj.data.max() > 1 and (g.out_weight() == 0).any()
+    assert g.adj.diagonal().any() and g.adj.data.max() > 1 and (g.out_weight() == 0).any()
     if direction == "inverted":
         g = invert(g)
     driven = pagerank(g, alpha=0.9, sweep=SWEEP)

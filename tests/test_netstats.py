@@ -84,7 +84,7 @@ def test_correlator_on_symmetric_graph_reduces_to_self_term():
     g = DirectedGraph.from_edges(
         [f"v{i}" for i in range(n)], src, dst, np.ones(len(src), dtype=np.int64)
     )
-    assert g.same_structure(invert(g))
+    assert (g.adj != invert(g).adj).nnz == 0  # invert keeps the names' order
     p = pagerank(g)
     p_star = pagerank(invert(g))
     kappa = correlator(p, p_star).kappa
@@ -254,10 +254,9 @@ def test_grid_mass_is_conserved():
 def test_grid_boundary_cells():
     # cells are half-open on the left, closed at the very top
     grid = grid_from_rank_pairs([1, 9, 10, 100], [1, 1, 1, 1], 100, cells=2)
-    assert grid.cell_of(1) == 0
-    assert grid.cell_of(9) == 0   # ln 9 / ln 10 < 1
-    assert grid.cell_of(10) == 1  # exactly on the boundary -> upper cell
-    assert grid.cell_of(100) == 1  # top edge is closed
+    # ln 9 / ln 10 < 1; 10 lies exactly on the boundary -> upper cell; the top edge is closed
+    for rank, cell in ((1, 0), (9, 0), (10, 1), (100, 1)):
+        assert grid_from_rank_pairs([rank], [rank], 100, cells=2).counts[cell, cell] == 1
     assert grid.counts[0, 0] == 2 and grid.counts[1, 0] == 2
 
 
@@ -563,7 +562,7 @@ def test_mean_adjusted_pmf_with_an_underflowing_tail_warns_nothing(exponent):
 def test_generate_scale_free_is_deterministic():
     g1 = generate_scale_free(300, 2.3, 2.6, 3.0, seed=77)
     g2 = generate_scale_free(300, 2.3, 2.6, 3.0, seed=77)
-    assert g1.same_structure(g2)
+    assert g1.names == g2.names and (g1.adj != g2.adj).nnz == 0
     assert g1.content_hash() == g2.content_hash()
     g3 = generate_scale_free(300, 2.3, 2.6, 3.0, seed=78)
     assert g1.content_hash() != g3.content_hash()
@@ -679,7 +678,7 @@ def test_generate_scale_free_basic_shape():
     assert g.n_nodes == n
     assert g.names[0] == "n0000" and g.names[-1] == "n1999"
     # stub trimming touches one side only: nobody ends up isolated
-    degrees = g.out_weight() + g.in_weight()
+    degrees = g.out_weight() + np.bincount(g.adj.indices, weights=g.adj.data, minlength=n)
     assert degrees.min() >= 1
     mean = g.total_edge_weight / n
     assert abs(mean - 4.0) / 4.0 < 0.25  # heavy-tailed draws wobble the sum

@@ -6,9 +6,10 @@ clean to a per-line parser.  The writers format blocks of rows at once.
 The references below are the line-at-a-time implementations these
 replaced, kept verbatim but for two rules: a rank-table line starting with
 '#' is a header line only before the column line, and a row after it; and a
-rank table that is not whole is refused (reference_check_table).  The block
-sizes are drawn small, so block boundaries fall everywhere: between clean
-and odd lines, inside runs of comments, next to the file's last line.
+rank table that is not whole is refused before a RankTable is made
+(reference_check_table).  The block sizes are drawn small, so block
+boundaries fall everywhere: between clean and odd lines, inside runs of
+comments, next to the file's last line.
 """
 
 import dataclasses
@@ -34,6 +35,7 @@ from rankplane import (
     write_rank_table,
 )
 from rankplane import graph, textio, twodrank
+from test_graph import named_edges
 
 COMMENT_CHAR = "#"
 _TABLE_COLUMNS = ("name", "pagerank", "pagerank_rank", "cheirank", "cheirank_rank", "rank2d")
@@ -131,48 +133,67 @@ def reference_read_rank_table(source) -> RankTable:
             columns[j - 1].append(parse(fields[j]))
     if not names:
         raise ParseError("empty rank table file")
+    columns = dict(zip(_TABLE_COLUMNS[1:], columns))
+    reference_check_table(names, columns, meta)
     return RankTable(
         names=names,
-        pagerank=np.asarray(columns[0], dtype=np.float64),
-        pagerank_rank=np.asarray(columns[1], dtype=np.int64),
-        cheirank=np.asarray(columns[2], dtype=np.float64),
-        cheirank_rank=np.asarray(columns[3], dtype=np.int64),
-        rank2d=np.asarray(columns[4], dtype=np.int64),
+        pagerank=np.asarray(columns["pagerank"], dtype=np.float64),
+        pagerank_rank=np.asarray(columns["pagerank_rank"], dtype=np.int64),
+        cheirank=np.asarray(columns["cheirank"], dtype=np.float64),
+        cheirank_rank=np.asarray(columns["cheirank_rank"], dtype=np.int64),
+        rank2d=np.asarray(columns["rank2d"], dtype=np.int64),
         meta=meta,
     )
 
 
-def reference_check_table(table: RankTable) -> RankTable:
-    """The table, unless a rank column is not a permutation of 1..N, N is not
+def is_count(text: str, least: int) -> bool:
+    """text is ASCII digits that read as an integer of at least least."""
+    return text != "" and all("0" <= c <= "9" for c in text) and int(text) >= least
+
+
+def reference_check_table(names: list[str], columns: dict[str, list], meta: dict) -> None:
+    """Nothing, unless a rank column is not a permutation of 1..N, N is not
     the header's subset_size or n_nodes, a probability lies outside [0, 1],
     in a full table a probability column does not sum to 1 within 1e-9, a
-    probability rises from one rank to the next, or a name is on two rows."""
-    n = len(table.names)
+    probability rises from one rank to the next, a header value the package
+    writes is bad, or a name is on two rows."""
+    n = len(names)
     for col in ("pagerank_rank", "cheirank_rank", "rank2d"):
-        if sorted(getattr(table, col).tolist()) != list(range(1, n + 1)):
+        if sorted(columns[col]) != list(range(1, n + 1)):
             raise ParseError(f"{col} is not a permutation")
-    size = table.meta.get("subset_size", table.meta.get("n_nodes"))
+    size = meta.get("subset_size", meta.get("n_nodes"))
     if size is not None and size != str(n):
         raise ParseError(f"{n} rows, header {size}")
-    if "subset_size" not in table.meta:
+    if "subset_size" not in meta:
         for col in ("pagerank", "cheirank"):
             try:
-                total = math.fsum(getattr(table, col).tolist())
+                total = math.fsum(columns[col])
             except (OverflowError, ValueError):
                 total = math.nan
             if not abs(total - 1.0) <= 1e-9:
                 raise ParseError(f"{col} does not sum to 1")
     for col in ("pagerank", "cheirank"):
-        if not all(0.0 <= p <= 1.0 for p in getattr(table, col).tolist()):
+        if not all(0.0 <= p <= 1.0 for p in columns[col]):
             raise ParseError(f"{col} has an entry outside [0, 1]")
     for col in ("pagerank", "cheirank"):
-        by_rank = [p for _, p in sorted(zip(getattr(table, col + "_rank").tolist(),
-                                            getattr(table, col).tolist()))]
+        by_rank = [p for _, p in sorted(zip(columns[col + "_rank"], columns[col]))]
         if any(later > earlier for earlier, later in zip(by_rank, by_rank[1:])):
             raise ParseError(f"{col}_rank does not follow {col}")
-    if len(set(table.names)) != n:
+    for key, good in (
+        ("alpha", lambda v: 0.0 < float(v) <= 1.0),
+        ("alpha_star", lambda v: 0.0 < float(v) <= 1.0),
+        ("tol", lambda v: 0.0 < float(v) < math.inf),
+        ("max_iter", lambda v: is_count(v, 1)),
+        ("n_nodes", lambda v: is_count(v, n)),
+        ("graph_hash", lambda v: len(v) == 16 and all(c in "0123456789abcdef" for c in v)),
+    ):
+        try:
+            if key in meta and not good(meta[key]):
+                raise ValueError(meta[key])
+        except ValueError:
+            raise ParseError(f"bad {key} in the header") from None
+    if len(set(names)) != n:
         raise ParseError("a name is on two rows")
-    return table
 
 
 def reference_write_edge_list(g: DirectedGraph, out) -> None:
@@ -392,7 +413,7 @@ def test_only_odd_blocks_take_the_per_line_parser(monkeypatch, tmp_path):
     three, two = tmp_path / "three.tsv", tmp_path / "two.tsv"
     write_edge_list(written, three)
     two.write_text("# links\n" + "".join(f"n{i}\tn{(i * 7) % 30}\n# note\n\n" for i in range(30)))
-    assert load_edge_list(three).same_structure(written)
+    assert named_edges(load_edge_list(three)) == named_edges(written)
     assert load_edge_list(two).total_edge_weight == 30
     assert per_line_blocks == []
 
@@ -467,7 +488,7 @@ def whole_table_texts(draw):
     """Tables a solve could have written, each number in any text float() or
     int() reads the same, some with a row repeated or dropped, a rank
     changed, two ranks of unequal probabilities swapped, a name repeated, or
-    a header that gives another size."""
+    a header that gives another size or a bad value."""
     n = draw(st.integers(1, 8))
     names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
     columns, ranks = [], []
@@ -498,8 +519,11 @@ def whole_table_texts(draw):
         del rows[draw(st.integers(0, n - 1))]
     elif fault == "rank":
         rows[draw(st.integers(0, n - 1))][draw(st.sampled_from([2, 4, 5]))] = str(draw(st.integers(0, n + 1)))
-    head = draw(st.sampled_from(["", f"# alpha=0.85 n_nodes={n}\n", f"# n_nodes={n + 1}\n",
-                                 f"# n_nodes=99 subset_size={n}\n"]))
+    head = draw(st.sampled_from([
+        "", f"# alpha=0.85 n_nodes={n}\n", f"# n_nodes={n + 1}\n", f"# n_nodes=99 subset_size={n}\n",
+        f"# n_nodes={n - 1} subset_size={n}\n", "# tol=nan\n", "# max_iter=-5\n", "# graph_hash=xyz\n",
+        f"# graph_hash=0123456789abcdef max_iter=100 n_nodes={n} tol=1e-10\n",
+    ]))
     return head + "\t".join(_TABLE_COLUMNS) + "\n" + "".join("\t".join(r) + "\n" for r in rows)
 
 
@@ -517,7 +541,7 @@ table_texts = st.one_of(odd_table_texts(), whole_table_texts())
 def test_rank_table_blocks_match_the_per_line_reader(text, chars):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textio, "_BLOCK_CHARS", chars)
-        expected = outcome(lambda s: reference_check_table(reference_read_rank_table(s)), text)
+        expected = outcome(reference_read_rank_table, text)
         got = outcome(read_rank_table, text)
     if compare_outcomes(expected, got):
         a, b = expected[1], got[1]
@@ -657,23 +681,37 @@ def test_a_block_of_many_long_multiplicities_matches_the_per_line_writer():
     assert got.getvalue() == expected.getvalue()
 
 
+PROBABILITIES = st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 0.1]) | st.floats(0.0, 1.0)
+LABELS = st.one_of(st.floats(), st.integers(), st.text(max_size=5))
+
+
 @st.composite
 def tables(draw):
-    names = draw(st.lists(WRITTEN_NAMES, min_size=1, max_size=30))
+    """Tables RankTable accepts, full and subset: rank columns that follow
+    the probabilities, ties in any order, and header values that pass."""
+    names = draw(st.lists(WRITTEN_NAMES, min_size=1, max_size=30, unique=True))
     n = len(names)
-    floats = st.lists(FLOATS, min_size=n, max_size=n)
-    ranks = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
-    meta = draw(st.dictionaries(st.sampled_from(["alpha", "tol", "n_nodes", "label"]),
-                                st.one_of(st.floats(), st.integers(), st.text(max_size=5))))
-    return RankTable(
-        names=names,
-        pagerank=np.asarray(draw(floats), dtype=np.float64),
-        cheirank=np.asarray(draw(floats), dtype=np.float64),
-        pagerank_rank=np.asarray(draw(st.permutations(range(1, n + 1))), dtype=np.int64),
-        cheirank_rank=np.asarray(draw(ranks), dtype=np.int64),
-        rank2d=np.asarray(draw(ranks), dtype=np.int64),
-        meta=meta,
-    )
+    full = draw(st.booleans())
+    columns = {}
+    for key in ("pagerank", "cheirank"):
+        values = draw(st.lists(PROBABILITIES, min_size=n, max_size=n))
+        if full:
+            total = math.fsum(values)
+            values = [v / total for v in values] if total else [1.0] + values[1:]
+        columns[key] = np.asarray(values, dtype=np.float64)
+        columns[f"{key}_rank"] = ranks_by(values, draw(st.permutations(range(n))))
+    # A subset table is one whose header has subset_size.
+    meta = draw(st.fixed_dictionaries({} if full else {"subset_size": st.just(n)}, optional={
+        "n_nodes": st.just(n) if full else st.integers(n, 2**63 - 1) | st.just(str(n)),
+        "alpha": st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from(["1", "0.85"]),
+        "tol": st.floats(0.0, exclude_min=True, allow_infinity=False),
+        "max_iter": st.integers(1, 2**63 - 1),
+        "graph_hash": st.text("0123456789abcdef", min_size=16, max_size=16),
+        "label": LABELS,
+        "n": LABELS,
+    }))
+    return RankTable(names=names, rank2d=draw(st.permutations(range(1, n + 1))), meta=meta,
+                     **columns)
 
 
 @settings(max_examples=200, deadline=None)
@@ -685,3 +723,53 @@ def test_rank_table_writer_matches_the_per_row_writer(table, rows):
         mp.setattr(textio, "_BLOCK_ROWS", rows)
         write_rank_table(table, got)
     assert got.getvalue() == expected.getvalue()
+
+
+BAD_HEADER_VALUES = {
+    "alpha": [math.nan, 0.0, -1.0, 1.5, "abc"],
+    "alpha_star": [math.nan, 0.0, math.inf],
+    "tol": [math.nan, 0.0, -1e-10, math.inf, "x"],
+    "max_iter": [0, -5, math.nan, 1.5, "x", "\u0663"],
+    "graph_hash": ["xyz", "0123456789ABCDEF", "0123456789abcde", math.nan],
+    "subset_size": [-1, math.nan, "x"],
+}
+
+
+@st.composite
+def refused_fields(draw):
+    """An accepted table's fields with one of them made bad: a probability
+    that is NaN, infinite or outside [0, 1], a rank out of range or
+    repeated, or a bad header value."""
+    table = draw(tables())
+    fields = {f.name: getattr(table, f.name) for f in dataclasses.fields(table) if f.init}
+    n = len(table)
+    kind = draw(st.sampled_from(["probability", "rank", "header"]))
+    if kind == "probability":
+        key = draw(st.sampled_from(["pagerank", "cheirank"]))
+        bad = st.just(math.nan) | st.floats(max_value=-5e-324) | st.floats(1.0, exclude_min=True)
+        fields[key] = fields[key].copy()
+        fields[key][draw(st.integers(0, n - 1))] = draw(bad)
+    elif kind == "rank":
+        key = draw(st.sampled_from(["pagerank_rank", "cheirank_rank", "rank2d"]))
+        bad = st.integers(-(2**63), 0) | st.integers(n + 1, 2**63 - 1)
+        if n > 1:
+            bad |= st.sampled_from(fields[key].tolist())  # a rank twice, one missing
+        ranks = fields[key].copy()
+        i = draw(st.integers(0, n - 1))
+        ranks[i] = draw(bad.filter(lambda r: r != ranks[i]))
+        fields[key] = ranks
+    else:
+        bad = {**BAD_HEADER_VALUES, "n_nodes": [n - 1, "x", math.nan]}
+        key = draw(st.sampled_from(sorted(bad)))
+        fields["meta"] = {**table.meta, key: draw(st.sampled_from(bad[key]))}
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=refused_fields())
+def test_a_table_that_is_not_whole_cannot_be_made(fields):
+    """The NaN, infinite, out-of-range and non-permutation columns the writer
+    test once drew, and bad header values: RankTable refuses each."""
+    with pytest.raises(ContractViolation):
+        RankTable(**fields)
+

@@ -5,17 +5,22 @@ first time they land on the boundary — right edge before top edge, corner
 once — independent of the vectorized implementation.
 """
 
+import dataclasses
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankplane import (
     ContractViolation,
     NodeSubset,
     ParseError,
+    RankTable,
     build_rank_table,
     rank_positions,
     read_rank_table,
@@ -150,6 +155,68 @@ def test_a_node_name_on_two_rows_is_refused():
     text = buf.getvalue().replace("\nc\t", "\na\t")
     with pytest.raises(ParseError, match="node name 'a' is on more than one row"):
         read_rank_table(io.StringIO(text))
+
+
+def test_a_table_built_directly_is_checked():
+    """Ranks that do not follow the probabilities used to build, and
+    subset_rank then re-ranked members a and b to [2, 1] for [0.5, 0.3]."""
+    columns = dict(pagerank=[0.5, 0.3, 0.2], cheirank=[0.2, 0.3, 0.5], cheirank_rank=[3, 2, 1],
+                   rank2d=[1, 2, 3])
+    with pytest.raises(ContractViolation, match="pagerank_rank does not follow the pagerank column"):
+        RankTable(["a", "b", "c"], pagerank_rank=[3, 2, 1], **columns)
+    t = RankTable(["a", "b", "c"], pagerank_rank=[1, 2, 3], **columns)
+    assert t.pagerank.dtype == np.float64 and t.rank2d.dtype == np.int64
+    assert subset_rank(t, NodeSubset("s", (0, 1))).pagerank_rank.tolist() == [1, 2]
+    for code in ("l", "q"):  # int64 as NumPy makes it, and as the table reader does
+        ranks = t.rank2d.astype(code)
+        again = RankTable(t.names, t.pagerank, t.cheirank, t.pagerank_rank, t.cheirank_rank, ranks)
+        assert again.pagerank is t.pagerank and again.rank2d is ranks  # not copied
+    for key, short in (("pagerank", [1.0]), ("rank2d", [1, 2])):
+        with pytest.raises(ContractViolation, match=f"{key} does not hold one entry per name"):
+            RankTable(["a", "b", "c"], **{**columns, "pagerank_rank": [1, 2, 3], key: short})
+
+
+@pytest.mark.parametrize(
+    "meta, cause",
+    [
+        ({"alpha": 2.0}, "bad damping factor in the table header: {'alpha': 2.0}"),
+        ({"alpha_star": math.nan}, "bad damping factor in the table header"),
+        ({"tol": math.nan}, "bad tol in the table header: nan"),
+        ({"tol": 0.0}, "bad tol in the table header"),
+        ({"tol": math.inf}, "bad tol in the table header"),
+        ({"max_iter": -5}, "bad max_iter in the table header: -5"),
+        ({"max_iter": 0}, "bad max_iter in the table header"),
+        ({"max_iter": 2.5}, "bad max_iter in the table header"),
+        ({"max_iter": math.nan}, "bad max_iter in the table header"),
+        ({"n_nodes": 5}, "the table has 4 rows, its header says n_nodes=5"),
+        ({"graph_hash": "xyz"}, "bad graph_hash in the table header: xyz"),
+        ({"graph_hash": "0123456789ABCDEF"}, "bad graph_hash in the table header"),
+    ],
+)
+def test_build_rank_table_refuses_a_header_its_reader_would(meta, cause):
+    """alpha=2.0 used to be written, and then refused by read_rank_table."""
+    with pytest.raises(ContractViolation, match=re.escape(cause)):
+        build_rank_table(["a", "b", "c", "d"], [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], meta)
+
+
+def test_a_subset_header_needs_n_nodes_no_smaller_than_its_rows():
+    t = build_rank_table(["a", "b", "c", "d"], [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4],
+                         {"n_nodes": 4, "label": math.nan, "n": "x y"})
+    sub = subset_rank(t, NodeSubset("s", (0, 1, 2)))
+    assert sub.meta == {"n_nodes": 4, "label": math.nan, "n": "x y", "subset_label": "s",
+                        "subset_size": 3}
+    assert dataclasses.replace(sub, meta={**sub.meta, "n_nodes": "3"}).meta["n_nodes"] == "3"
+    for n_nodes in (2, "abc", -3, math.nan):
+        with pytest.raises(ContractViolation, match="bad n_nodes in the table header"):
+            dataclasses.replace(sub, meta={**sub.meta, "n_nodes": n_nodes})
+
+
+def test_a_replaced_table_indexes_its_own_names():
+    """dataclasses.replace used to carry the cached name index over."""
+    t = small_table()
+    assert t.name_index["a"] == 0
+    renamed = dataclasses.replace(t, names=["d", "c", "b", "a"])
+    assert renamed.name_index == {"d": 0, "c": 1, "b": 2, "a": 3}
 
 
 def test_names_by():
@@ -343,3 +410,42 @@ def test_a_subset_table_probability_outside_0_1_is_refused(value):
         name = ("pagerank", "cheirank")[column // 2]
         with pytest.raises(ParseError, match=f"{name} has an entry outside"):
             read_rank_table(io.StringIO("".join(edited)))
+
+
+@st.composite
+def built_tables(draw):
+    """Tables build_rank_table returns, and subset_rank's tables of them:
+    probabilities with ties, header values of every kind the package writes."""
+    n = draw(st.integers(1, 12))
+    names = [f"v{i}" for i in range(n)]
+    columns = []
+    for _ in range(2):
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        columns.append(np.asarray(weights, dtype=np.float64) / sum(weights))
+    meta = draw(st.fixed_dictionaries({}, optional={
+        "alpha": st.floats(0.0, 1.0, exclude_min=True),
+        "alpha_star": st.sampled_from([1, 0.5, "0.85"]),
+        "tol": st.floats(0.0, exclude_min=True, allow_infinity=False),
+        "max_iter": st.integers(1, 10**6),
+        "graph_hash": st.text("0123456789abcdef", min_size=16, max_size=16),
+        "n_nodes": st.sampled_from([n, np.int64(n), str(n)]),
+        "label": st.text(max_size=8) | st.floats(),
+    }))
+    table = build_rank_table(names, *columns, meta)
+    if draw(st.booleans()):
+        members = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        table = subset_rank(table, NodeSubset(draw(st.text(max_size=8)), tuple(members)))
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=built_tables())
+def test_every_built_table_reads_back_bit_for_bit(table):
+    buf = io.StringIO()
+    write_rank_table(table, buf)
+    back = read_rank_table(io.StringIO(buf.getvalue()))
+    order = np.argsort(table.pagerank_rank)
+    assert back.names == [table.names[i] for i in order]
+    for col in ("pagerank", "cheirank", "pagerank_rank", "cheirank_rank", "rank2d"):
+        assert getattr(back, col).tobytes() == getattr(table, col)[order].tobytes()
+    assert back.meta == {k: str(v) for k, v in table.meta.items()}
