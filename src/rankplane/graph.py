@@ -8,18 +8,17 @@ only matter at the file boundary.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, ContextManager, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .textio import COMMENT_CHAR, joined_fields, line_blocks, row_blocks
+from .textio import COMMENT_CHAR, joined_fields, line_blocks, open_text, row_blocks
 
 # Subsets are read by textio.  The benchmark's tracer (perfbench/tracing.py)
 # still times them under this name; drop the line with ROADMAP §1's
@@ -43,15 +42,23 @@ class DirectedGraph:
     """Immutable directed multigraph with per-edge multiplicities.
 
     `adj` is canonical CSR: sorted indices, duplicate (source, target)
-    pairs merged by summing multiplicities, every multiplicity >= 1.
-    Self-loops are kept; they participate in degree sums and column
-    normalization like any other edge.
+    pairs merged by summing multiplicities, every multiplicity an integer
+    >= 1; the constructor refuses any other matrix.  Self-loops are kept;
+    they participate in degree sums and column normalization like any
+    other edge.
     """
 
     def __init__(self, names: list[str], adj: sp.csr_matrix):
         n = len(names)
         if adj.shape != (n, n):
             raise ContractViolation(f"adjacency shape {adj.shape} does not match {n} names")
+        if not (
+            getattr(adj, "format", None) == "csr"
+            and adj.has_canonical_format
+            and np.issubdtype(adj.dtype, np.integer)
+            and adj.data.min(initial=1) >= 1
+        ):
+            raise ContractViolation("adjacency is not canonical CSR of integer multiplicities >= 1")
         self._hold(names, adj.indptr, adj.indices, adj.data)
         self._adj = adj
 
@@ -488,7 +495,7 @@ def _parse_edge_lines(
         return i
 
     for line_no, raw in enumerate(lines, start=first_line_no):
-        line = raw.rstrip("\n").rstrip("\r")
+        line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith(COMMENT_CHAR):
             continue
         fields = line.split("\t")
@@ -525,26 +532,14 @@ def _file_text(data: bytes) -> bytes:
     return data
 
 
-def _edge_blocks(
-    source: str | Path | IO[str], digest
-) -> Iterator[tuple[bytes | None, list[str] | None]]:
-    """(data, lines) for consecutive blocks of whole lines.
-
-    data is the block as UTF-8 bytes ending in LF, or None when only the
-    per-line parser may read it; lines is the block as a caller's stream
-    gave it, or None for a file.  A file is read as bytes and digest is fed
-    every byte.  A stream's block is encoded (lone surrogates kept); one
-    holding a CR, which the stream may have split lines at, goes to the
-    per-line parser as given.
-    """
+def _edge_blocks(source: str | Path | IO[str], digest) -> Iterator[bytes]:
+    """Consecutive blocks of whole lines, each as the UTF-8 bytes of lines
+    that end in LF.  A file is read as bytes and digest is fed every byte;
+    a caller's stream is read through line_blocks, which owns its line ends,
+    and encoded with its lone surrogates kept."""
     if not isinstance(source, (str, Path)):
         for _, lines in line_blocks(source, _BLOCK_BYTES):
-            text = "".join(lines)
-            if "\r" in text:
-                yield None, lines
-            else:
-                text += "" if text.endswith("\n") else "\n"
-                yield text.encode("utf-8", "surrogatepass"), lines
+            yield "".join(lines).encode("utf-8", "surrogatepass")
         return
     with open(source, "rb") as f:
         pending: list[bytes] = []
@@ -555,13 +550,13 @@ def _edge_blocks(
             cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
             if cut:
                 pending.append(chunk[:cut])
-                yield _file_text(b"".join(pending)), None
+                yield _file_text(b"".join(pending))
                 pending = [chunk[cut:]]
             else:
                 pending.append(chunk)
         tail = b"".join(pending)
         if tail:
-            yield _file_text(tail + b"\n"), None
+            yield _file_text(tail + b"\n")
 
 
 def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
@@ -579,12 +574,11 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     mult = array("q")
     digest = hashlib.sha256() if isinstance(source, (str, Path)) else None
     line_no = 1
-    for data, lines in _edge_blocks(source, digest):
-        if data is None or not _bulk_edges(data, table, ends, mult):
-            if lines is None:
-                lines = io.StringIO(data.decode("utf-8", "surrogatepass")).readlines()
+    for data in _edge_blocks(source, digest):
+        if not _bulk_edges(data, table, ends, mult):
+            lines = io.StringIO(data.decode("utf-8", "surrogatepass")).readlines()
             _parse_edge_lines(lines, line_no, table, ends, mult)
-        line_no += data.count(b"\n") if lines is None else len(lines)
+        line_no += data.count(b"\n")
 
     records = len(mult)
     if records == 0:
@@ -605,8 +599,8 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
     a tab, CR or LF, one a path cannot hold in UTF-8, and an edge source
     named '#…', whose line is a comment.
 
-    The lines are built as UTF-8 bytes in NumPy, a block of rows at a time;
-    a caller's stream is given them as text (lone surrogates kept).
+    The lines are built as UTF-8 bytes in NumPy, a block of rows at a time,
+    and written as text (lone surrogates kept for a caller's stream).
     """
     names = g.names
     indptr, indices, data = g._indptr, g._indices, g._data
@@ -632,18 +626,8 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
     name_size = name_end - name_start
     del name_end
 
-    header = f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n"
-    if isinstance(target, (str, Path)):
-        out: ContextManager = open(target, "wb")
-        write = out.write
-    else:
-        out = contextlib.nullcontext()
-
-        def write(lines: bytes) -> None:
-            target.write(lines.decode("utf-8", "surrogatepass"))
-
-    with out:
-        write(header.encode())
+    with open_text(target, "w") as out:
+        out.write(f"{COMMENT_CHAR} directed edge list: source\ttarget\tmultiplicity\n")
         for rows in row_blocks(len(data)):
             # The rows the block's edges lie in, each repeated once per edge.
             # (Searched for in indptr's own dtype: any other casts all of it.)
@@ -667,4 +651,5 @@ def write_edge_list(g: DirectedGraph, target: str | Path | IO[str]) -> None:
             starts[:, 2], sizes[:, 2] = text_start[which], text_size[which]
             starts, sizes = starts.ravel(), sizes.ravel()
             ends = np.cumsum(sizes)
-            write(store[np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])].tobytes())
+            lines = store[np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])]
+            out.write(lines.tobytes().decode("utf-8", "surrogatepass"))

@@ -153,11 +153,23 @@ class DensityGrid:
     Both axes span [0, ln(n_ranks)]; cells are half-open with the last cell
     closed, so every rank in [1, n_ranks] lands in exactly one cell.
     counts[i, j] holds nodes whose (ln K, ln K*) falls in cell (i, j); w is
-    counts normalized by the number of samples (sums to one).
+    counts normalized by the number of samples (sums to one).  However it
+    is made, a grid is refused with ContractViolation unless its counts are
+    a square 2-D integer array of counts >= 0, with a sample and 2 ranks.
     """
 
     counts: np.ndarray
     n_ranks: int
+
+    def __post_init__(self) -> None:
+        counts = self.counts
+        square = isinstance(counts, np.ndarray) and counts.ndim == 2 and len(set(counts.shape)) == 1
+        if not (square and np.issubdtype(counts.dtype, np.integer)):
+            raise ContractViolation("density grid counts are not a square 2-D integer array")
+        if np.any(counts < 0):
+            raise ContractViolation("a cell count is negative")
+        if not (self.n_samples >= 1 and self.n_ranks >= 2):  # written so that NaN fails it
+            raise ContractViolation(f"a density grid of {self.n_samples} samples over {self.n_ranks} ranks")
 
     @property
     def n_samples(self) -> int:
@@ -547,13 +559,12 @@ def read_density_grid(source: str | Path | IO[str]) -> DensityGrid:
         counts[cell] = columns["count"]
     except (KeyError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad or missing density grid value: {exc}") from None
-    grid = DensityGrid(counts.reshape(cells, cells), n_ranks)
-    if np.any(counts < 0):
-        raise ParseError("a cell count is negative")
+    try:
+        grid = DensityGrid(counts.reshape(cells, cells), n_ranks)
+    except ContractViolation as exc:
+        raise ParseError(str(exc)) from None
     if grid.n_samples != n_samples:
         raise ParseError(f"header n_samples={n_samples}, but the counts sum to {grid.n_samples}")
-    if n_samples < 1 or n_ranks < 2:
-        raise ParseError(f"a density grid of {n_samples} samples over {n_ranks} ranks")
     return grid
 
 

@@ -117,7 +117,7 @@ def read_series(
             if columns is not None and _bulk_columns(lines, columns, types, sep):
                 continue
             for line_no, raw in enumerate(lines, start=first_line_no):
-                line = raw.rstrip("\n")
+                line = raw[:-1]
                 if not line:
                     continue
                 if columns is None and line.startswith(COMMENT_CHAR):
@@ -150,10 +150,11 @@ def read_series(
 def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep: str) -> bool:
     """Append a block of plain rows to the columns in one pass.
 
-    Returns False, having changed nothing, when any line needs the per-line
-    parser: a blank line, a line without its line end, a wrong field count or
-    a value that does not convert.  It is called only after the column line,
-    where a line starting with '#' is a row like any other.
+    Every line ends in one LF, as line_blocks yields it.  Returns False,
+    having changed nothing, when any line needs the per-line parser: a blank
+    line, a wrong field count or a value that does not convert.  It is
+    called only after the column line, where a line starting with '#' is a
+    row like any other.
     """
     import numpy as np
 
@@ -181,7 +182,10 @@ def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep
 
 def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, list[str]]]:
     """Yield (number of the first line, lines) for consecutive blocks of
-    about chars (by default _BLOCK_CHARS) characters of lines."""
+    about chars (by default _BLOCK_CHARS) characters of lines, each line
+    ending in exactly one LF: the CRs and LF that end a line, as the stream
+    split it, become one LF, and a last line without one gets it.  Only a
+    block that holds a CR or lacks its last line end is rewritten."""
     line_no = 1
     while True:
         try:
@@ -190,6 +194,8 @@ def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, list[str
             raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
         if not lines:
             return
+        if "\r" in "".join(lines) or not lines[-1].endswith("\n"):
+            lines = [line.removesuffix("\n").rstrip("\r") + "\n" for line in lines]
         yield line_no, lines
         line_no += len(lines)
 

@@ -124,6 +124,8 @@ class RankTable:
     _name_index: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.meta, Mapping):
+            raise ContractViolation(f"the table header is not a mapping: {self.meta!r}")
         n, meta = len(self.names), {k: str(v) for k, v in self.meta.items()}
         # Sorted hashes take 8 bytes a name, a set about 40; equal hashes go to the set.
         hashes = np.sort(np.fromiter(map(hash, self.names), np.int64, n))

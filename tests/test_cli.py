@@ -30,7 +30,7 @@ from rankplane import (
 )
 from rankplane import cli, graph
 from rankplane.cli import main
-from rankplane.textio import read_series
+from rankplane.textio import read_header, read_series
 
 
 def run(*argv):
@@ -531,15 +531,24 @@ def test_mutated_input_files_exit_cleanly_or_refuse_before_writing(
             assert non_finite_numbers(path, header=template[0] != "subset") == [], path.name
 
 
+# The header keys RankTable checks.  A subset table's header is its input
+# table's, passed on as it was read: any other key in it is unchecked.
+CHECKED_HEADER_KEYS = ("alpha", "alpha_star", "tol", "max_iter", "n_nodes", "subset_size",
+                       "graph_hash")
+
+
 def non_finite_numbers(path: Path, header: bool) -> list[str]:
     """The fields of a written file that read as nan or inf: every field of
-    its rows, and with header also every header value.  A subset table's
-    header is its input table's, passed on as it was read."""
+    its rows, and every header value, or without header the values of the
+    header keys RankTable checks."""
     text = path.read_text(encoding="utf-8")
+    fields = []
     if not header and text.startswith("#"):
-        text = text.split("\n", 1)[1]
+        head, text = text.split("\n", 1)
+        meta = read_header(head)
+        fields = [meta[key] for key in CHECKED_HEADER_KEYS if key in meta]
     found = []
-    for field in re.split(r"[\s,=:]+", text):
+    for field in fields + re.split(r"[\s,=:]+", text):
         try:
             if not np.isfinite(float(field)):
                 found.append(field)

@@ -1,5 +1,6 @@
 """Edge-list ingestion, multigraph semantics, inversion, degrees, subsets."""
 
+import dataclasses
 import hashlib
 import io
 from collections import Counter
@@ -22,6 +23,7 @@ from rankplane import (
     invert,
     load_edge_list,
     load_node_subset,
+    load_ranked_list,
     pagerank,
     read_density_grid,
     read_overlap_series,
@@ -33,6 +35,7 @@ from rankplane import (
     write_overlap_series,
     write_rank_table,
 )
+from rankplane import graph, textio
 from rankplane.graph import degree_distribution
 from rankplane.netstats import (
     write_correlator_points,
@@ -266,6 +269,35 @@ def test_rejects_nonpositive_multiplicity_in_from_edges():
         DirectedGraph.from_edges(["a", "b"], [0], [1], [0])
 
 
+def csr(data, indices, indptr, fmt="csr"):
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((np.asarray(data), indices, indptr), shape=(2, 2)).asformat(fmt)
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [
+        csr([1, 2, 1], [1, 1, 0], [0, 2, 3]),  # (a, b) stored twice
+        csr([1, 1], [1, 0], [0, 2, 2]),  # a row's columns out of order
+        csr([1, 0], [1, 0], [0, 1, 2]),  # a multiplicity of 0
+        csr([1, -1], [1, 0], [0, 1, 2]),
+        csr([1.0, 1.0], [1, 0], [0, 1, 2]),
+        csr([1, 1], [1, 0], [0, 1, 2], fmt="coo"),
+        csr([1, 1], [1, 0], [0, 1, 2], fmt="csc"),
+    ],
+    ids=["repeated_pair", "unsorted_row", "zero", "negative", "float", "coo", "csc"],
+)
+def test_the_constructor_refuses_an_adjacency_that_is_not_canonical(adj):
+    """A pair stored twice used to count as two edges, be written as two
+    lines and reload as one edge under another hash; a multiplicity of 0
+    was written as a line the loader refuses."""
+    with pytest.raises(ContractViolation, match="adjacency is not canonical CSR"):
+        DirectedGraph(["a", "b"], adj)
+    canonical = DirectedGraph(["a", "b"], csr([1, 3], [1, 0], [0, 1, 2]))
+    assert named_edges(canonical) == named_edges(load("a\tb\nb\ta\t3\n"))
+
+
 # ---- degree distributions ---------------------------------------------------
 
 
@@ -428,6 +460,86 @@ def test_malformed_series_files_are_parse_errors(read, text, line_no):
     with pytest.raises(ParseError) as err:
         read(io.StringIO(text))
     assert err.value.line_no == line_no
+
+
+def plain(value):
+    """A reader's result as data that == compares: arrays as lists, a
+    graph as its names, CSR arrays and record count."""
+    if isinstance(value, DirectedGraph):
+        arrays = (value.adj.indptr, value.adj.indices, value.adj.data)
+        return value.names, [a.tolist() for a in arrays], value.ingest.lines
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return {k: plain(v) for k, v in vars(value).items() if not k.startswith("_")}
+    if isinstance(value, tuple):
+        return tuple(map(plain, value))
+    return value
+
+
+def stream_cases():
+    """(reader, text) pairs, for each reader a whole file and one with an
+    error after its first line; every line of each text ends in LF."""
+    table, grid, series = io.StringIO(), io.StringIO(), io.StringIO()
+    t = build_rank_table(["a", "b", "c"], [0.5, 0.3, 0.2], [0.2, 0.3, 0.5], {"alpha": 0.85})
+    write_rank_table(t, table)
+    write_density_grid(density_grid(t, cells=2), grid)
+    write_overlap_series(
+        window_overlap(RankedList(tuple("abcd")), RankedList(tuple("bacd")), window=2), series
+    )
+
+    def subset(source):
+        return load_node_subset(source, {"a": 0, "b": 1, "c": 2}, "s")
+
+    readers = {
+        "rank_table": (read_rank_table, table.getvalue(), "c\t0.2\t3\n"),
+        "density_grid": (read_density_grid, grid.getvalue(), "0,0,x,1.0,1.0\n"),
+        "overlap_series": (read_overlap_series, series.getvalue(), "1.0,zz\n"),
+        "ranked_list": (load_ranked_list, "# top\nb\na\nc\n", "b\n"),
+        "node_subset": (subset, "# members\nc\n\na\n", "d\n"),
+        "edge_list": (load_edge_list, "# edges\na\tb\nb\tc\t2\n\nc\ta\n", "c\n"),
+    }
+    cases = {}
+    for kind, (read, text, bad_line) in readers.items():
+        cases[kind] = (read, text)
+        cases[f"{kind}_error"] = (read, text + bad_line + text.split("\n", 1)[1])
+    return cases
+
+
+def read_outcome(read, source):
+    """read's result as plain data, or its ParseError's text and line number."""
+    try:
+        return "ok", plain(read(source))
+    except ParseError as exc:
+        return "parse_error", str(exc), exc.line_no
+
+
+@pytest.mark.parametrize("kind", list(stream_cases()))
+@pytest.mark.parametrize(
+    "line_end, newline",
+    [
+        pytest.param(end, nl, id=f"{name}-newline={nl!r}")
+        for end, name in (("\n", "LF"), ("\r\n", "CRLF"), ("\r", "CR"))
+        for nl in (None, "", "\n")
+        if (end, nl) != ("\r", "\n")  # such a stream holds one line
+    ],
+)
+def test_a_stream_reads_as_a_file_does(kind, line_end, newline, tmp_path, monkeypatch):
+    """A caller's stream, however it splits lines, gives the value a file of
+    the same text gives, or the same error at the same line: a CRLF rank
+    table read from a stream used to miss its column line."""
+    read, text = stream_cases()[kind]
+    path = tmp_path / "input.txt"
+    for blocks in (0, 5):  # by default, and a few characters a block
+        if blocks:
+            monkeypatch.setattr(textio, "_BLOCK_CHARS", blocks)
+            monkeypatch.setattr(graph, "_BLOCK_BYTES", blocks)
+        for body in (text, text[:-1]):  # the last line with and without its end
+            body = body.replace("\n", line_end)
+            path.write_bytes(body.encode("utf-8"))
+            expected = read_outcome(read, path)
+            assert read_outcome(read, io.StringIO(body, newline=newline)) == expected
+            assert expected[0] == ("parse_error" if kind.endswith("_error") else "ok"), expected
 
 
 MAX_WEIGHT = 2**63 - 1

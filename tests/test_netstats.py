@@ -275,6 +275,28 @@ def test_grid_rejects_bad_input():
         grid_from_rank_pairs([], [], 10)  # no pairs
 
 
+@pytest.mark.parametrize(
+    "counts, n_ranks, cause",
+    [
+        ([[3, -2], [0, 0]], 4, "a cell count is negative"),
+        ([[0, 0], [0, 0]], 4, "a density grid of 0 samples over 4 ranks"),
+        ([[1, 0], [0, 1]], 1, "a density grid of 2 samples over 1 ranks"),
+        ([[1, 0, 0], [0, 1, 0]], 4, "density grid counts are not a square 2-D integer array"),
+        ([1, 0, 0, 1], 4, "density grid counts are not a square 2-D integer array"),
+        ([[1.0, 0.0], [0.0, 1.0]], 4, "density grid counts are not a square 2-D integer array"),
+    ],
+    ids=["negative", "no_samples", "one_rank", "2x3", "1-D", "float"],
+)
+def test_a_grid_built_directly_is_checked(counts, n_ranks, cause):
+    """Negative counts used to be written and then refused by the reader,
+    no samples made the writer warn of 0 / 0, and a 2x3 array raised a bare
+    broadcasting ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match=cause):
+            write_density_grid(DensityGrid(np.array(counts), n_ranks), io.StringIO())
+
+
 def test_density_grid_from_table():
     rng = np.random.default_rng(3)
     n = 300

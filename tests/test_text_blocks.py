@@ -360,8 +360,8 @@ def test_edge_list_files_match_the_per_line_loader(text, chars, tmp_path_factory
 
 
 def test_a_stream_that_splits_lines_at_a_cr_is_read_as_it_splits_them():
-    """A stream opened with newline='' ends a line at a lone CR, where the
-    byte pass would not: its blocks go to the per-line parser as given."""
+    """A stream opened with newline='' ends a line at a lone CR, and
+    line_blocks turns each of its line ends into an LF."""
     with pytest.raises(ParseError) as err:
         load_edge_list(io.StringIO("a\tb\rc\n", newline=""))
     assert err.value.line_no == 2

@@ -211,6 +211,12 @@ def test_a_subset_header_needs_n_nodes_no_smaller_than_its_rows():
             dataclasses.replace(sub, meta={**sub.meta, "n_nodes": n_nodes})
 
 
+def test_a_table_without_a_header_mapping_is_refused():
+    """meta=None used to raise AttributeError from __post_init__."""
+    with pytest.raises(ContractViolation, match="the table header is not a mapping: None"):
+        RankTable(["a"], [1.0], [1.0], [1], [1], [1], meta=None)
+
+
 def test_a_replaced_table_indexes_its_own_names():
     """dataclasses.replace used to carry the cached name index over."""
     t = small_table()
