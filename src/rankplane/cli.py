@@ -210,9 +210,8 @@ def cmd_subset(args: argparse.Namespace) -> int:
     from . import textio, twodrank
     table = twodrank.read_rank_table(args.table)
     label = args.label or Path(args.subset).stem
-    subset, unresolved = textio.load_node_subset(
-        args.subset, table.name_index, label=label, strict=args.strict
-    )
+    rows = {name: i for i, name in enumerate(table.names)}
+    subset, unresolved = textio.load_node_subset(args.subset, rows, label=label, strict=args.strict)
     sub_table = twodrank.subset_rank(table, subset)
     twodrank.write_rank_table(sub_table, args.output)
     if unresolved:

@@ -9,7 +9,6 @@ only matter at the file boundary.
 from __future__ import annotations
 
 import hashlib
-import io
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,10 +212,11 @@ def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True)
 # Missing multiplicity means 1.  Lines starting with '#' are comments;
 # blank lines are ignored.  Names are trimmed of surrounding whitespace.
 
-# Edge lists are read _BLOCK_BYTES of whole lines at a time.  A block's
-# arrays take about 16 bytes per byte of it: at 256 KiB they do not raise the
-# peak memory of `rank`, which 1 MiB blocks raise by about 10%, and larger
-# blocks merge more repeated names before they are looked up.
+# Edge lists are read about _BLOCK_BYTES characters of whole lines at a time,
+# as many bytes for ASCII names.  A block's arrays take about 16 bytes per
+# byte of it: at 256 KiB they do not raise the peak memory of `rank`, which
+# 1 MiB blocks raise by about 10%, and larger blocks merge more repeated
+# names before they are looked up.
 _BLOCK_BYTES = 1 << 18
 # Multiplicities are stored as int64.  The byte pass converts at most 18
 # digits, which cannot overflow; longer ones go to the per-line parser.
@@ -479,10 +479,11 @@ def _bulk_edges(data: bytes, table: _NameTable, ends: array, mult: array) -> boo
 
 
 def _parse_edge_lines(
-    lines: list[str], first_line_no: int, table: _NameTable, ends: array, mult: array
+    text: str, first_line_no: int, table: _NameTable, ends: array, mult: array
 ) -> None:
-    """Parse edge lines one at a time: every form the format allows, and the
-    first malformed line reported by its number."""
+    """Parse a block of edge lines, each ending in LF, one line at a time:
+    every form the format allows, and the first malformed line reported by
+    its number."""
     names, index = table.names, table.index()
 
     def intern(name: str, line_no: int) -> int:
@@ -494,8 +495,7 @@ def _parse_edge_lines(
             names.append(name)
         return i
 
-    for line_no, raw in enumerate(lines, start=first_line_no):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(text[:-1].split("\n"), start=first_line_no):
         if not line.strip() or line.lstrip().startswith(COMMENT_CHAR):
             continue
         fields = line.split("\t")
@@ -519,44 +519,18 @@ def _parse_edge_lines(
         mult.append(m)
 
 
-def _file_text(data: bytes) -> bytes:
-    """A block of a file checked to be UTF-8, with its line ends translated
-    as text mode translates them: CRLF and lone CR to LF."""
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data
+class _Digesting:
+    """A text stream whose reads feed their UTF-8 bytes to a digest.  Read
+    from a path opened by open_text, strict UTF-8 with no newline
+    translation, those are the file's bytes."""
 
+    def __init__(self, stream: IO[str], digest) -> None:
+        self._stream, self._digest = stream, digest
 
-def _edge_blocks(source: str | Path | IO[str], digest) -> Iterator[bytes]:
-    """Consecutive blocks of whole lines, each as the UTF-8 bytes of lines
-    that end in LF.  A file is read as bytes and digest is fed every byte;
-    a caller's stream is read through line_blocks, which owns its line ends,
-    and encoded with its lone surrogates kept."""
-    if not isinstance(source, (str, Path)):
-        for _, lines in line_blocks(source, _BLOCK_BYTES):
-            yield "".join(lines).encode("utf-8", "surrogatepass")
-        return
-    with open(source, "rb") as f:
-        pending: list[bytes] = []
-        while chunk := f.read(_BLOCK_BYTES):
-            digest.update(chunk)
-            # After the last line end known whole: a CR last in the chunk
-            # may be the first half of a CRLF.
-            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
-            if cut:
-                pending.append(chunk[:cut])
-                yield _file_text(b"".join(pending))
-                pending = [chunk[cut:]]
-            else:
-                pending.append(chunk)
-        tail = b"".join(pending)
-        if tail:
-            yield _file_text(tail + b"\n")
+    def read(self, chars: int) -> str:
+        text = self._stream.read(chars)
+        self._digest.update(text.encode("utf-8"))
+        return text
 
 
 def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
@@ -573,12 +547,12 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     ends = array("q")  # source and target index of every record, interleaved
     mult = array("q")
     digest = hashlib.sha256() if isinstance(source, (str, Path)) else None
-    line_no = 1
-    for data in _edge_blocks(source, digest):
-        if not _bulk_edges(data, table, ends, mult):
-            lines = io.StringIO(data.decode("utf-8", "surrogatepass")).readlines()
-            _parse_edge_lines(lines, line_no, table, ends, mult)
-        line_no += data.count(b"\n")
+    with open_text(source) as stream:
+        blocks = line_blocks(_Digesting(stream, digest) if digest else stream, _BLOCK_BYTES)
+        for line_no, text in blocks:
+            # Lone surrogates, which only a caller's stream holds, are kept.
+            if not _bulk_edges(text.encode("utf-8", "surrogatepass"), table, ends, mult):
+                _parse_edge_lines(text, line_no, table, ends, mult)
 
     records = len(mult)
     if records == 0:

@@ -16,6 +16,7 @@ asserts them, since that snapshot is not shipped:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Sequence
@@ -155,7 +156,8 @@ class DensityGrid:
     counts[i, j] holds nodes whose (ln K, ln K*) falls in cell (i, j); w is
     counts normalized by the number of samples (sums to one).  However it
     is made, a grid is refused with ContractViolation unless its counts are
-    a square 2-D integer array of counts >= 0, with a sample and 2 ranks.
+    a square 2-D integer array of counts >= 0, with a sample and an integer
+    n_ranks of at least 2.
     """
 
     counts: np.ndarray
@@ -168,7 +170,11 @@ class DensityGrid:
             raise ContractViolation("density grid counts are not a square 2-D integer array")
         if np.any(counts < 0):
             raise ContractViolation("a cell count is negative")
-        if not (self.n_samples >= 1 and self.n_ranks >= 2):  # written so that NaN fails it
+        try:
+            n_ranks = operator.index(self.n_ranks)
+        except TypeError:
+            n_ranks = 0  # not an integer: refused below
+        if self.n_samples < 1 or n_ranks < 2:
             raise ContractViolation(f"a density grid of {self.n_samples} samples over {self.n_ranks} ranks")
 
     @property

@@ -21,7 +21,7 @@ COMMENT_CHAR = "#"
 
 # Column files and name files, from a path or a caller's stream, are read
 # about _BLOCK_CHARS characters of whole lines at a time (the edge-list reader
-# sizes its own blocks), and every text file is written _BLOCK_ROWS rows at a
+# asks for larger blocks), and every text file is written _BLOCK_ROWS rows at a
 # time.  Both are bounded so that no file is held whole as text: the rank
 # table of 10^6 nodes is 74 MB of it.
 _BLOCK_CHARS = 1 << 16
@@ -37,11 +37,11 @@ _HEADER_PAIR = re.compile(r"""([^\s=]*)=(?:('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
 def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[IO[str]]:
     """A path opened as UTF-8 text, or the caller's stream, which is left open.
 
-    Files are written with LF line ends on every platform and read with any
-    line ends.
+    Line ends pass untranslated both ways: files are written with LF on every
+    platform, and line_blocks decides which line ends a file read holds.
     """
     if isinstance(target, (str, Path)):
-        return open(target, mode, encoding="utf-8", newline="\n" if mode == "w" else None)
+        return open(target, mode, encoding="utf-8", newline="")
     return contextlib.nullcontext(target)
 
 
@@ -113,11 +113,10 @@ def read_series(
     meta: dict[str, str] = {}
     columns: dict | None = None
     with open_text(source) as stream:
-        for first_line_no, lines in line_blocks(stream):
-            if columns is not None and _bulk_columns(lines, columns, types, sep):
+        for first_line_no, text in line_blocks(stream):
+            if columns is not None and _bulk_columns(text, columns, types, sep):
                 continue
-            for line_no, raw in enumerate(lines, start=first_line_no):
-                line = raw[:-1]
+            for line_no, line in enumerate(text[:-1].split("\n"), start=first_line_no):
                 if not line:
                     continue
                 if columns is None and line.startswith(COMMENT_CHAR):
@@ -147,22 +146,21 @@ def read_series(
     return meta, {k: v if isinstance(v, list) else np.array(v) for k, v in columns.items()}
 
 
-def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep: str) -> bool:
+def _bulk_columns(text: str, columns: dict, types: Mapping[str, str], sep: str) -> bool:
     """Append a block of plain rows to the columns in one pass.
 
-    Every line ends in one LF, as line_blocks yields it.  Returns False,
-    having changed nothing, when any line needs the per-line parser: a blank
-    line, a wrong field count or a value that does not convert.  It is
-    called only after the column line, where a line starting with '#' is a
-    row like any other.
+    The text is a block of line_blocks, every line ending in one LF.
+    Returns False, having changed nothing, when any line needs the per-line
+    parser: a blank line, a wrong field count or a value that does not
+    convert.  It is called only after the column line, where a line starting
+    with '#' is a row like any other.
     """
     import numpy as np
 
-    text = "".join(lines)
     # One "\n" token per line: finding all of them at the row-closing
     # positions proves that every line has len(columns) fields.
     tokens = text.replace("\n", f"{sep}\n{sep}").split(sep)
-    n, width = len(lines), len(columns) + 1
+    n, width = text.count("\n"), len(columns) + 1
     if len(tokens) != width * n + 1 or tokens[width - 1 :: width].count("\n") != n:
         return False
     try:
@@ -180,24 +178,35 @@ def _bulk_columns(lines: list[str], columns: dict, types: Mapping[str, str], sep
     return True
 
 
-def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, list[str]]]:
-    """Yield (number of the first line, lines) for consecutive blocks of
-    about chars (by default _BLOCK_CHARS) characters of lines, each line
-    ending in exactly one LF: the CRs and LF that end a line, as the stream
-    split it, become one LF, and a last line without one gets it.  Only a
-    block that holds a CR or lacks its last line end is rewritten."""
-    line_no = 1
-    while True:
+def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, str]]:
+    """Yield (number of the first line, text) for consecutive blocks of whole
+    lines, read about chars (by default _BLOCK_CHARS) characters at a time.
+    LF, CRLF and a lone CR each end one line and become one LF, and a last
+    line without an end gets one, so every block ends in LF."""
+    line_no, pending, more = 1, [], True
+    while more:
         try:
-            lines = stream.readlines(chars or _BLOCK_CHARS)
+            chunk = stream.read(chars or _BLOCK_CHARS)
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
-        if not lines:
-            return
-        if "\r" in "".join(lines) or not lines[-1].endswith("\n"):
-            lines = [line.removesuffix("\n").rstrip("\r") + "\n" for line in lines]
-        yield line_no, lines
-        line_no += len(lines)
+        if not chunk:
+            if not any(pending):
+                return
+            # An LF ends the last line, or makes its CR a CRLF.
+            chunk, more = "\n", False
+        # After the last line end known whole: a CR last in the read may be
+        # the first half of a CRLF.
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, -1)) + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        text = "".join(pending)
+        pending = [chunk[cut:]]
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        yield line_no, text
+        line_no += text.count("\n")
 
 
 def name_lines(source: str | Path | IO[str]) -> Iterator[tuple[int, str, bool]]:
@@ -209,9 +218,9 @@ def name_lines(source: str | Path | IO[str]) -> Iterator[tuple[int, str, bool]]:
     """
     seen: set[str] = set()
     with open_text(source) as stream:
-        for first_line_no, lines in line_blocks(stream):
-            for line_no, raw in enumerate(lines, start=first_line_no):
-                name = raw.strip()
+        for first_line_no, text in line_blocks(stream):
+            for line_no, line in enumerate(text[:-1].split("\n"), start=first_line_no):
+                name = line.strip()
                 if name and (seen or not name.startswith(COMMENT_CHAR)):
                     yield line_no, name, name in seen
                     seen.add(name)

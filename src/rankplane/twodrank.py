@@ -121,8 +121,6 @@ class RankTable:
     rank2d: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    _name_index: dict | None = field(default=None, init=False, repr=False, compare=False)
-
     def __post_init__(self) -> None:
         if not isinstance(self.meta, Mapping):
             raise ContractViolation(f"the table header is not a mapping: {self.meta!r}")
@@ -163,12 +161,6 @@ class RankTable:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    @property
-    def name_index(self) -> Mapping[str, int]:
-        if self._name_index is None:
-            self._name_index = {name: i for i, name in enumerate(self.names)}
-        return self._name_index
 
     def names_by(self, column: str) -> list[str]:
         """Node names sorted by one of the rank columns, best rank first."""

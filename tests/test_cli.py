@@ -134,7 +134,8 @@ def test_rank_table_matches_the_library(random_edges, tmp_path):
     p = pagerank(g, alpha=0.7)
     p_star = cheirank(g, alpha_star=0.9)
     # rows come back sorted by rank; the repr round-trip itself is lossless
-    order = [table.name_index[name] for name in g.names]
+    rows = {name: i for i, name in enumerate(table.names)}
+    order = [rows[name] for name in g.names]
     np.testing.assert_array_equal(table.pagerank[order], p.values)
     np.testing.assert_array_equal(table.cheirank[order], p_star.values)
     assert table.meta["alpha"] == "0.7"

@@ -520,8 +520,8 @@ def read_outcome(read, source):
     [
         pytest.param(end, nl, id=f"{name}-newline={nl!r}")
         for end, name in (("\n", "LF"), ("\r\n", "CRLF"), ("\r", "CR"))
-        for nl in (None, "", "\n")
-        if (end, nl) != ("\r", "\n")  # such a stream holds one line
+        for nl in (None, "", "\n", "\r")
+        if (end, nl) != ("\r\n", "\r")  # StringIO writes each CRLF as two CRs
     ],
 )
 def test_a_stream_reads_as_a_file_does(kind, line_end, newline, tmp_path, monkeypatch):

@@ -281,11 +281,13 @@ def test_grid_rejects_bad_input():
         ([[3, -2], [0, 0]], 4, "a cell count is negative"),
         ([[0, 0], [0, 0]], 4, "a density grid of 0 samples over 4 ranks"),
         ([[1, 0], [0, 1]], 1, "a density grid of 2 samples over 1 ranks"),
+        ([[1, 0], [0, 1]], 2.5, "a density grid of 2 samples over 2.5 ranks"),
+        ([[1, 0], [0, 1]], 4.0, "a density grid of 2 samples over 4.0 ranks"),
         ([[1, 0, 0], [0, 1, 0]], 4, "density grid counts are not a square 2-D integer array"),
         ([1, 0, 0, 1], 4, "density grid counts are not a square 2-D integer array"),
         ([[1.0, 0.0], [0.0, 1.0]], 4, "density grid counts are not a square 2-D integer array"),
     ],
-    ids=["negative", "no_samples", "one_rank", "2x3", "1-D", "float"],
+    ids=["negative", "no_samples", "one_rank", "half_rank", "float_ranks", "2x3", "1-D", "float"],
 )
 def test_a_grid_built_directly_is_checked(counts, n_ranks, cause):
     """Negative counts used to be written and then refused by the reader,

@@ -9,7 +9,9 @@ replaced, kept verbatim but for two rules: a rank-table line starting with
 rank table that is not whole is refused before a RankTable is made
 (reference_check_table).  The block sizes are drawn small, so block
 boundaries fall everywhere: between clean and odd lines, inside runs of
-comments, next to the file's last line.
+comments, next to the file's last line.  textio.line_blocks, which cuts
+every text input into blocks, is checked on its own against a
+universal-newline read of the same text.
 """
 
 import dataclasses
@@ -272,7 +274,7 @@ def edge_lines(draw, two_fields=False, names=NAMES):
     if kind == "empty_name":
         return draw(st.sampled_from(["\tb\t1\n", "a\t \t1\n"]))
     if kind == "cr":
-        return f"{s}\t{t}\r"  # a lone CR: a line end in a file, not in a StringIO
+        return f"{s}\t{t}\r"  # a lone CR: a line end in a file and in any stream
     return f"{s}\t{t}\t1\r\n"
 
 
@@ -287,10 +289,10 @@ def edge_texts(draw, names=NAMES | SURROGATE_NAMES):
     return text
 
 
-def outcome(parse, text):
+def outcome(parse, text, newline="\n"):
     """What a reader makes of text: its result, or the error and line number."""
     try:
-        return "ok", parse(io.StringIO(text))
+        return "ok", parse(io.StringIO(text, newline=newline))
     except ParseError as exc:
         return "parse_error", exc.line_no
     except (ValueError, OverflowError) as exc:
@@ -318,7 +320,9 @@ def compare_outcomes(expected, got):
 def test_edge_list_blocks_match_the_per_line_loader(text, chars):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_BYTES", chars)
-        expected = outcome(reference_load_edge_list, text)
+        # The reference is handed the lines a file holds: newline=None
+        # translates every line end to LF, a lone CR's too.
+        expected = outcome(reference_load_edge_list, text, newline=None)
         got = outcome(load_edge_list, text)
     if compare_outcomes(expected, got):
         a, b = expected[1], got[1]
@@ -360,8 +364,9 @@ def test_edge_list_files_match_the_per_line_loader(text, chars, tmp_path_factory
 
 
 def test_a_stream_that_splits_lines_at_a_cr_is_read_as_it_splits_them():
-    """A stream opened with newline='' ends a line at a lone CR, and
-    line_blocks turns each of its line ends into an LF."""
+    """A stream opened with newline='' hands its CRs over as they are;
+    line_blocks ends a line at each lone CR, as in a file, and turns every
+    line end into an LF."""
     with pytest.raises(ParseError) as err:
         load_edge_list(io.StringIO("a\tb\rc\n", newline=""))
     assert err.value.line_no == 2
@@ -402,9 +407,9 @@ def test_only_odd_blocks_take_the_per_line_parser(monkeypatch, tmp_path):
     per_line_blocks = []
     parse_lines = graph._parse_edge_lines
 
-    def spy(lines, *args):
-        per_line_blocks.append(lines)
-        return parse_lines(lines, *args)
+    def spy(text, *args):
+        per_line_blocks.append(text)
+        return parse_lines(text, *args)
 
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 16)
     monkeypatch.setattr(graph, "_parse_edge_lines", spy)
@@ -417,10 +422,58 @@ def test_only_odd_blocks_take_the_per_line_parser(monkeypatch, tmp_path):
     assert load_edge_list(two).total_edge_weight == 30
     assert per_line_blocks == []
 
-    # A caller's stream gives blocks of three 6-character lines.
+    # Read 16 characters at a time: the fourth read ends 4 characters into
+    # the padded line, and the block the fifth read ends holds it and the
+    # two whole lines after it.
     g = load_edge_list(io.StringIO("a\tb\t1\n" * 10 + " a\tc\t2\n" + "b\tc\t2\n" * 10))
     assert g.ingest.lines == 21 and g.total_edge_weight == 32
-    assert per_line_blocks == [["a\tb\t1\n", " a\tc\t2\n", "b\tc\t2\n"]]
+    assert per_line_blocks == [" a\tc\t2\nb\tc\t2\nb\tc\t2\n"]
+
+
+# Line text: characters str.splitlines would also split at, but no file does.
+LINE_TEXT = st.text(
+    st.sampled_from("ab\t \x85\u2028\x0c\x1eé")
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+    max_size=8,
+)
+
+
+@st.composite
+def ended_texts(draw):
+    """Lines ending in LF, CRLF or a lone CR in any mix, the last line with
+    or without its end."""
+    lines = draw(st.lists(st.tuples(LINE_TEXT, st.sampled_from(["\n", "\r\n", "\r"])), max_size=20))
+    text = "".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ended_texts(), chars=st.integers(1, 200))
+@example(text="ab\r\ncd\n", chars=3)  # a CRLF split between two reads
+@example(text="ab\rcd\r", chars=200)  # a CR last in the stream
+@example(text="ab\n\r", chars=3)  # a CR alone in the last read
+def test_line_blocks_end_every_line_in_one_lf(text, chars, tmp_path_factory):
+    """From a path and from a StringIO under every newline setting, the
+    blocks end in LF, join to the lines the text holds (as a universal-newline
+    read splits them) each ended by one LF, and number their first lines."""
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    streams = [io.StringIO(text, newline=nl) for nl in (None, "", "\n", "\r", "\r\n")]
+    # A StringIO holds the text as its newline setting writes it: every line
+    # end made LF under None, each LF made CR or CRLF under those two.
+    for held, source in [(text, path)] + [(s.getvalue(), s) for s in streams]:
+        lines = io.StringIO(held, newline="").readlines()
+        expected = "".join(line.rstrip("\r\n") + "\n" for line in lines)
+        with textio.open_text(source) as stream:
+            blocks = list(textio.line_blocks(stream, chars))
+        assert all(block.endswith("\n") for _, block in blocks)
+        assert "".join(block for _, block in blocks) == expected
+        line_no = 1
+        for first_line_no, block in blocks:
+            assert first_line_no == line_no
+            line_no += block.count("\n")
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e-300, 0.1, 5e-324])
@@ -567,7 +620,7 @@ def test_bulk_table_columns_convert_like_float_and_int(text, column):
     except ValueError:
         accepted = False
     columns = {k: [] if c == "U" else array(c) for k, c in types.items()}
-    assert textio._bulk_columns(["\t".join(fields) + "\n"], columns, types, "\t") == accepted
+    assert textio._bulk_columns("\t".join(fields) + "\n", columns, types, "\t") == accepted
     if accepted:
         got = columns[name][0]
         assert np.array([got], dtype=code).tobytes() == np.array([expected], dtype=code).tobytes()

@@ -217,14 +217,6 @@ def test_a_table_without_a_header_mapping_is_refused():
         RankTable(["a"], [1.0], [1.0], [1], [1], [1], meta=None)
 
 
-def test_a_replaced_table_indexes_its_own_names():
-    """dataclasses.replace used to carry the cached name index over."""
-    t = small_table()
-    assert t.name_index["a"] == 0
-    renamed = dataclasses.replace(t, names=["d", "c", "b", "a"])
-    assert renamed.name_index == {"d": 0, "c": 1, "b": 2, "a": 3}
-
-
 def test_names_by():
     t = small_table()
     assert t.names_by("pagerank_rank") == ["a", "b", "c", "d"]
