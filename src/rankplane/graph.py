@@ -42,7 +42,9 @@ class DirectedGraph:
 
     `adj` is canonical CSR: sorted indices, duplicate (source, target)
     pairs merged by summing multiplicities, every multiplicity an integer
-    >= 1; the constructor refuses any other matrix.  Self-loops are kept;
+    >= 1; the constructor refuses any other matrix.  `adj.data` is int32
+    while the total edge weight fits in it, otherwise int64; a matrix handed
+    to the constructor keeps its own integer dtype.  Self-loops are kept;
     they participate in degree sums and column normalization like any
     other edge.
     """
@@ -88,10 +90,13 @@ class DirectedGraph:
         mult = np.asarray(mult, dtype=np.int64)
         if mult.size and np.any(mult <= 0):
             raise ContractViolation("every edge multiplicity must be >= 1")
-        # Merged int64 multiplicities cannot wrap once the total fits.  A float64
-        # total below 2**62 is too far from the bound to hide one above it.
-        if mult.sum(dtype=np.float64) >= 2.0**62 and sum(mult.tolist()) > _MAX_MULTIPLICITY:
+        # Merged multiplicities cannot wrap once the total fits.  A float64
+        # total is exact below 2**53, and below 2**62 too far from the bound
+        # to hide one above it.
+        total = mult.sum(dtype=np.float64)
+        if total >= 2.0**62 and sum(mult.tolist()) > _MAX_MULTIPLICITY:
             raise ContractViolation("the total edge weight exceeds 2**63 - 1")
+        mult = mult.astype(_multiplicity_type(total), copy=False)
         adj = sp.coo_matrix(
             (mult, (np.asarray(src), np.asarray(dst))), shape=(n, n)
         ).tocsr()
@@ -171,6 +176,11 @@ class DirectedGraph:
         )
 
 
+def _multiplicity_type(total_weight: float) -> type:
+    """int32 while the total edge weight fits in it, else int64."""
+    return np.int32 if total_weight <= _INT32_MAX else np.int64
+
+
 def invert(g: DirectedGraph) -> DirectedGraph:
     """Reverse every link: edge (i -> j, m) becomes (j -> i, m).
 
@@ -218,9 +228,11 @@ def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True)
 # 1 MiB blocks raise by about 10%, and larger blocks merge more repeated
 # names before they are looked up.
 _BLOCK_BYTES = 1 << 18
-# Multiplicities are stored as int64.  The byte pass converts at most 18
+# The total edge weight fits in int64.  The byte pass converts at most 18
 # digits, which cannot overflow; longer ones go to the per-line parser.
 _MAX_MULTIPLICITY = 2**63 - 1
+_INT32_MAX = 2**31 - 1
+_TOO_MANY_NAMES = "more than 2**31 - 1 node names"
 _BULK_MAX_DIGITS = 18
 # _MASKS[r] keeps the first r bytes of a little-endian 8-byte word.
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
@@ -420,7 +432,7 @@ def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sorted_keys[at], np.minimum.reduceat(order, at), group
 
 
-def _bulk_edges(data: bytes, table: _NameTable, ends: array, mult: array) -> bool:
+def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array, mult: array) -> bool:
     """Parse a block of edge lines, each ending in LF, as bytes in NumPy.
 
     Lines starting with '#' and empty lines are skipped.  The name tokens
@@ -429,8 +441,8 @@ def _bulk_edges(data: bytes, table: _NameTable, ends: array, mult: array) -> boo
     first token, and that one to the known name it matched.  Only names new
     to the graph are decoded.
 
-    Appends the node index pairs of the block's edges, interleaved, to ends
-    and their multiplicities to mult.  Returns False, having changed
+    Appends the source and target node index of the block's edges to src
+    and dst and their multiplicities to mult.  Returns False, having changed
     nothing, when any line needs the per-line parser: one _edge_fields
     refuses, an empty or padded name, or two names sharing a key.
     """
@@ -470,16 +482,20 @@ def _bulk_edges(data: bytes, table: _NameTable, ends: array, mult: array) -> boo
     if not all(new_names) or list(map(str.strip, new_names)) != new_names:
         return False
 
+    if len(table.names) + len(new) > _INT32_MAX:
+        raise ContractViolation(_TOO_MANY_NAMES)
     node[new] = np.arange(len(table.names), len(table.names) + len(new))
     table.names.extend(new_names)
     table.add_bytes(blob, new_len, group_keys[new])
-    ends.frombytes(node[group].tobytes())
+    ends = node[group].astype(np.intc)
+    src.frombytes(ends[0::2].tobytes())
+    dst.frombytes(ends[1::2].tobytes())
     mult.frombytes(values.tobytes())
     return True
 
 
 def _parse_edge_lines(
-    text: str, first_line_no: int, table: _NameTable, ends: array, mult: array
+    text: str, first_line_no: int, table: _NameTable, src: array, dst: array, mult: array
 ) -> None:
     """Parse a block of edge lines, each ending in LF, one line at a time:
     every form the format allows, and the first malformed line reported by
@@ -492,6 +508,8 @@ def _parse_edge_lines(
             raise ParseError("empty node name", line_no)
         i = index.setdefault(name, len(names))
         if i == len(names):
+            if i == _INT32_MAX:
+                raise ContractViolation(_TOO_MANY_NAMES)
             names.append(name)
         return i
 
@@ -514,8 +532,8 @@ def _parse_edge_lines(
                 )
         else:
             m = 1
-        ends.append(s)
-        ends.append(t)
+        src.append(s)
+        dst.append(t)
         mult.append(m)
 
 
@@ -543,25 +561,24 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     """
     table = _NameTable()
     # Grown in place (by realloc): block arrays joined at the end would hold
-    # every record twice at the peak.
-    ends = array("q")  # source and target index of every record, interleaved
-    mult = array("q")
+    # every record twice at the peak.  The node indices are C ints (int32),
+    # which the sparse build takes without a copy.
+    src, dst, mult = array("i"), array("i"), array("q")
     digest = hashlib.sha256() if isinstance(source, (str, Path)) else None
     with open_text(source) as stream:
         blocks = line_blocks(_Digesting(stream, digest) if digest else stream, _BLOCK_BYTES)
         for line_no, text in blocks:
             # Lone surrogates, which only a caller's stream holds, are kept.
-            if not _bulk_edges(text.encode("utf-8", "surrogatepass"), table, ends, mult):
-                _parse_edge_lines(text, line_no, table, ends, mult)
+            if not _bulk_edges(text.encode("utf-8", "surrogatepass"), table, src, dst, mult):
+                _parse_edge_lines(text, line_no, table, src, dst, mult)
 
     records = len(mult)
     if records == 0:
         raise ParseError("empty edge list: no edge records found")
 
-    pairs = np.frombuffer(ends, dtype=np.int64).reshape(records, 2)
-    g = DirectedGraph.from_edges(
-        table.names, pairs[:, 0], pairs[:, 1], np.frombuffer(mult, dtype=np.int64)
-    )
+    # An array's typecode is also its NumPy type character.
+    columns = [np.frombuffer(a, a.typecode) for a in (src, dst, mult)]
+    g = DirectedGraph.from_edges(table.names, *columns)
     g.ingest = IngestStats(records, digest.hexdigest() if digest else None)
     return g
 

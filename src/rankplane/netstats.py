@@ -25,7 +25,7 @@ import numpy as np
 
 from . import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
-from .textio import read_series, write_series
+from .textio import read_series, row_blocks, write_series
 from .twodrank import RankTable, check_probabilities, exact_sum
 
 # The graph and solver modules are imported by the two functions that use
@@ -418,8 +418,6 @@ def _sample_curve(curve: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
 
 # ---- scale-free generator ------------------------------------------------------
 
-_INT32_MAX = 2**31 - 1
-
 
 def _mean_adjusted_pmf(exponent: float, mean: float, k_max: int) -> tuple[int, np.ndarray]:
     """Degree pmf with an exact power-law tail and the requested mean.
@@ -475,7 +473,7 @@ def generate_scale_free(
     uniformly at random, and repeated pairs merge into multiplicities.
     Self-loops are kept.
     """
-    from .graph import DirectedGraph
+    from .graph import _INT32_MAX, DirectedGraph, _multiplicity_type
 
     # Written so that NaN fails them.
     if n < 100:
@@ -532,12 +530,19 @@ def generate_scale_free(
     del pairs
     starts = np.flatnonzero(first)
     del first
-    counts = np.empty(len(starts), dtype=np.int64)  # run lengths
+    counts = np.empty(len(starts), dtype=_multiplicity_type(m))  # run lengths
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1:] = m - starts[-1:]
     del starts
+    # The names n0…, zero-padded: a block's digits as bytes, decoded in one call.
     width = len(str(n - 1))
-    names = [f"n{i:0{width}d}" for i in range(n)]
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    names: list[str] = []
+    for rows in row_blocks(n):
+        chars = np.full((rows.stop - rows.start, width + 2), ord("n"), dtype=np.uint8)
+        chars[:, 1:-1] = np.arange(rows.start, rows.stop)[:, None] // powers % 10 + ord("0")
+        chars[:, -1] = ord("\n")
+        names += chars.tobytes().decode("ascii").split()
     return DirectedGraph.from_csr(names, indptr, indices, counts)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -38,6 +39,7 @@ from rankplane import (
 from rankplane import graph, textio
 from rankplane.graph import degree_distribution
 from rankplane.netstats import (
+    generate_scale_free,
     write_correlator_points,
     write_eta_slice,
     write_power_law_fit,
@@ -563,6 +565,79 @@ def test_total_edge_weight_of_exactly_int64_max_loads():
     g = load(f"a\tb\t{MAX_WEIGHT - 1}\nb\ta\t1\n")
     assert g.total_edge_weight == MAX_WEIGHT
     assert g.adj.data.tolist() == [MAX_WEIGHT - 1, 1]
+
+
+INT32_MAX = 2**31 - 1
+
+
+def heavy_list(total: int) -> str:
+    """A ring of 20 single links and one line carrying the rest of total."""
+    ring = "".join(f"v{i}\tv{(i + 1) % 20}\n" for i in range(20))
+    return ring + f"v3\tv7\t{total - 20}\n"
+
+
+@pytest.mark.parametrize("total, width", [(INT32_MAX, np.int32), (INT32_MAX + 1, np.int64)])
+def test_multiplicities_are_int32_while_the_total_edge_weight_fits(total, width):
+    g = load(heavy_list(total))
+    assert g.total_edge_weight == total
+    assert g.adj.data.dtype == width and invert(g).adj.data.dtype == width
+    # The same graph held at the other width answers alike, bit for bit.
+    other = np.int64 if width == np.int32 else np.int32
+    twin = DirectedGraph.from_csr(g.names, g.adj.indptr, g.adj.indices, g.adj.data.astype(other))
+    assert twin.content_hash() == g.content_hash()
+    written = []
+    for h in (g, twin):
+        out = io.StringIO()
+        write_edge_list(h, out)
+        written.append(out.getvalue())
+    assert written[0] == written[1]
+    for solve in (pagerank, cheirank):
+        for workers in (1, 2):
+            a, b = solve(g, workers=workers), solve(twin, workers=workers)
+            assert a.iterations == b.iterations
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("text", ["a\tb\nc\td\n", " a\tb\nc\td\n"], ids=["bulk", "per_line"])
+def test_more_node_names_than_int32_holds_is_a_contract_violation(text, monkeypatch):
+    monkeypatch.setattr(graph, "_INT32_MAX", 3)
+    assert load(text.replace("d", "c")).n_nodes == 3
+    with pytest.raises(ContractViolation, match="node names"):
+        load(text)
+
+
+@pytest.fixture(scope="module")
+def generated_list(tmp_path_factory):
+    """The edge list of a 10^5-node generated graph, about 0.9 M lines."""
+    path = tmp_path_factory.mktemp("generated") / "edges.tsv"
+    write_edge_list(generate_scale_free(100_000, 2.1, 2.76, 10.0, seed=14), path)
+    return path
+
+
+def test_edge_list_parse_peak_memory(generated_list):
+    """The parse holds each record's node indices as two int32 and its
+    multiplicity as one int64 until the sparse build, which then copies
+    only the multiplicities (as int32)."""
+    load(BASIC)  # imports happen outside the trace
+    tracemalloc.start()
+    try:
+        g = load_edge_list(generated_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.ingest.lines > 900_000
+    assert peak <= 45 * g.ingest.lines, f"{peak / g.ingest.lines:.1f} bytes per record"
+
+
+def test_the_transpose_holds_eight_bytes_per_nonzero(generated_list):
+    g = load_edge_list(generated_list)
+    tracemalloc.start()
+    try:
+        t = invert(g).adj
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * t.nnz + t.indptr.nbytes + 65536, f"{peak / t.nnz:.1f} bytes per nonzero"
 
 
 HEADER_KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True)

@@ -628,6 +628,11 @@ GENERATOR_CASES = {
     (2000, 2.5, 2.5, 4.0, 3): "out",
     (5000, 2.1, 2.76, 10.0, 2): "in",
     (5000, 2.1, 2.76, 10.0, 0): "out",
+    # The names' width grows from 3 to 4 digits between these two, and
+    # 10^4 names are built in two blocks.
+    (999, 2.1, 2.76, 3.0, 0): "in",
+    (1000, 2.1, 2.76, 3.0, 1): "in",
+    (10_000, 2.5, 2.5, 4.0, 1): "in",
 }
 
 
