@@ -96,12 +96,10 @@ class DirectedGraph:
         total = mult.sum(dtype=np.float64)
         if total >= 2.0**62 and sum(mult.tolist()) > _MAX_MULTIPLICITY:
             raise ContractViolation("the total edge weight exceeds 2**63 - 1")
-        mult = mult.astype(_multiplicity_type(total), copy=False)
+        mult = mult.astype(_int_type(total), copy=False)
         adj = sp.coo_matrix(
             (mult, (np.asarray(src), np.asarray(dst))), shape=(n, n)
         ).tocsr()
-        adj.sum_duplicates()
-        adj.sort_indices()
         return cls(names, adj)
 
     @classmethod
@@ -176,9 +174,9 @@ class DirectedGraph:
         )
 
 
-def _multiplicity_type(total_weight: float) -> type:
-    """int32 while the total edge weight fits in it, else int64."""
-    return np.int32 if total_weight <= _INT32_MAX else np.int64
+def _int_type(largest: float) -> type:
+    """int32 while the largest value an array holds fits in it, else int64."""
+    return np.int32 if largest <= _INT32_MAX else np.int64
 
 
 def invert(g: DirectedGraph) -> DirectedGraph:
@@ -190,7 +188,6 @@ def invert(g: DirectedGraph) -> DirectedGraph:
     """
     if g._transpose is None:
         g._transpose = g.adj.T.tocsr()
-        g._transpose.sort_indices()
     inverse = DirectedGraph(g.names, g._transpose)
     inverse._transpose = g.adj
     return inverse

@@ -473,7 +473,7 @@ def generate_scale_free(
     uniformly at random, and repeated pairs merge into multiplicities.
     Self-loops are kept.
     """
-    from .graph import _INT32_MAX, DirectedGraph, _multiplicity_type
+    from .graph import DirectedGraph, _int_type
 
     # Written so that NaN fails them.
     if n < 100:
@@ -496,7 +496,7 @@ def generate_scale_free(
 
     # Peak memory is the point here: every full-length array is dropped as
     # soon as it is used, and stubs hold int32 node indices while they fit.
-    nodes = np.arange(n, dtype=np.int32 if n <= _INT32_MAX else np.int64)
+    nodes = np.arange(n, dtype=_int_type(n))
     in_stubs = np.repeat(nodes, deg_in)
     src = np.repeat(nodes, deg_out)  # out-stubs, in source order
     del nodes, deg_in, deg_out
@@ -523,14 +523,14 @@ def generate_scale_free(
     del code
 
     # CSR index arrays are int32 while they fit, as from_edges builds them.
-    index_type = np.int32 if max(n, len(pairs)) <= _INT32_MAX else np.int64
+    index_type = _int_type(max(n, len(pairs)))
     indptr = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n).astype(index_type)
     pairs %= n
     indices = pairs.astype(index_type)
     del pairs
     starts = np.flatnonzero(first)
     del first
-    counts = np.empty(len(starts), dtype=_multiplicity_type(m))  # run lengths
+    counts = np.empty(len(starts), dtype=_int_type(m))  # run lengths
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1:] = m - starts[-1:]
     del starts

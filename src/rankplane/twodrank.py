@@ -58,18 +58,10 @@ def check_probabilities(values, what: str, tol: float | None = INPUT_SUM_TOL) ->
     return values
 
 
-def _number(text: str) -> float:
-    """text as float() reads it, or NaN where float() refuses it."""
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
-
-
 # The header values the package writes besides alpha and alpha_star: the
-# test each one's text must pass in a table of n rows.  NaN fails each test.
+# test each one's text must pass in a table of n rows, which NaN fails.
 _HEADER = {
-    "tol": lambda text, n: 0.0 < _number(text) < math.inf,
+    "tol": lambda text, n: 0.0 < float(text) < math.inf,
     "max_iter": lambda text, n: text.isascii() and text.isdigit() and float(text) >= 1,
     "n_nodes": lambda text, n: text.isascii() and text.isdigit() and float(text) >= n,
     "graph_hash": lambda text, n: re.fullmatch("[0-9a-f]{16}", text) is not None,
@@ -88,19 +80,28 @@ def rank_positions(values: np.ndarray) -> np.ndarray:
     return _positions(np.argsort(-np.asarray(values, dtype=np.float64), kind="stable"))
 
 
+def _entry_key(k: np.ndarray, k_star: np.ndarray) -> np.ndarray:
+    """Each node's square-entry key, 2 * max(k, k_star) + [k_star > k]: one
+    int64 that orders (side length, right-before-top), built in place."""
+    key = np.maximum(k, k_star, dtype=np.int64)
+    key *= 2
+    key += k_star > k
+    return key
+
+
 def two_d_rank(k: np.ndarray, k_star: np.ndarray) -> np.ndarray:
     """Combined rank positions from square expansion over two rankings.
 
     Node i first appears on the square boundary at side length
     max(k[i], k_star[i]): on the right edge if k[i] >= k_star[i] (the
     corner case included), on the top edge otherwise.  Entry order is
-    (side length, right-before-top), which this implements as one lexsort.
+    (side length, right-before-top): the stable rising order of one key,
+    _entry_key's 2 * max(k[i], k_star[i]) + [k_star[i] > k[i]].
     """
     k, k_star = np.asarray(k), np.asarray(k_star)
     if len(k_star) != len(k):
         raise ContractViolation(f"rank permutations cover {len(k)} and {len(k_star)} nodes")
-    top_edge = (k_star > k).astype(np.int8)
-    return _positions(np.lexsort((top_edge, np.maximum(k, k_star))))
+    return _positions(np.argsort(_entry_key(k, k_star), kind="stable"))
 
 
 @dataclass
@@ -146,6 +147,11 @@ class RankTable:
             by_rank[getattr(self, f"{key}_rank") - 1] = getattr(self, key)
             if np.any(by_rank[1:] > by_rank[:-1]):
                 raise ContractViolation(f"{key}_rank does not follow the {key} column")
+        # Two nodes never share a key, so the square order is one strict rise.
+        by_rank2d = np.empty(n, dtype=np.int64)
+        by_rank2d[self.rank2d - 1] = _entry_key(self.pagerank_rank, self.cheirank_rank)
+        if np.any(by_rank2d[1:] <= by_rank2d[:-1]):
+            raise ContractViolation("rank2d is not the square order of pagerank_rank and cheirank_rank")
         try:
             damping = {k: float(meta[k]) for k in ("alpha", "alpha_star") if k in meta}
         except ValueError as exc:
@@ -153,8 +159,11 @@ class RankTable:
         if not all(0.0 < d <= 1.0 for d in damping.values()):  # written so that NaN fails it
             raise ContractViolation(f"bad damping factor in the table header: {damping}")
         for key, test in _HEADER.items():
-            if key in meta and not test(meta[key], n):
-                raise ContractViolation(f"bad {key} in the table header: {meta[key]}")
+            try:
+                if key in meta and not test(meta[key], n):
+                    raise ValueError
+            except ValueError:  # float() cannot read it, or it fails the test
+                raise ContractViolation(f"bad {key} in the table header: {meta[key]}") from None
         if not distinct:
             repeated = next(name for name, count in Counter(self.names).items() if count > 1)
             raise ContractViolation(f"node name {repeated!r} is on more than one row")

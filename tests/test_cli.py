@@ -251,6 +251,12 @@ def with_pagerank(lines, *values):
     return lines[:2] + edited + lines[2 + len(values) :]
 
 
+def with_rank2d_swapped(lines):
+    """The table lines with the rank2d values of the first two rows swapped."""
+    (a, x), (b, y) = (line.rsplit("\t", 1) for line in lines[2:4])
+    return lines[:2] + [f"{a}\t{y}", f"{b}\t{x}"] + lines[4:]
+
+
 @pytest.mark.parametrize(
     "edit, cause",
     [
@@ -259,8 +265,10 @@ def with_pagerank(lines, *values):
         (lambda lines: [lines[0].replace("n_nodes=200", "n_nodes=199")] + lines[1:], "n_nodes=199"),
         (lambda lines: with_pagerank(lines, "1e308", "1e308"), "pagerank does not sum to a finite"),
         (lambda lines: with_pagerank(lines, "inf", "-inf"), "pagerank does not sum to a finite"),
+        (with_rank2d_swapped, "rank2d is not the square order of pagerank_rank and cheirank_rank"),
     ],
-    ids=["repeated_row", "first_100_rows", "n_nodes", "overflowing_sum", "infinite_terms"],
+    ids=["repeated_row", "first_100_rows", "n_nodes", "overflowing_sum", "infinite_terms",
+         "swapped_rank2d"],
 )
 def test_a_rank_table_that_is_not_whole_exits_2(edit, cause, tmp_path, capsys):
     """A row repeated or rows dropped used to give a wrong kappa or density

@@ -35,6 +35,7 @@ from rankplane import (
     write_density_grid,
     write_edge_list,
 )
+from rankplane import graph
 from rankplane.graph import degree_distribution
 from rankplane.netstats import (
     _BIN_BLOCK,
@@ -647,6 +648,26 @@ def test_generate_scale_free_matches_the_unique_and_coo_build(case):
         assert got.dtype == want.dtype, attr
         np.testing.assert_array_equal(got, want)
     assert g.adj.has_canonical_format and g.content_hash() == expected.content_hash()
+
+
+def test_generated_arrays_are_int64_once_a_value_passes_the_int32_bound(monkeypatch):
+    """With the bound below n, node ids, CSR indices and run lengths are all
+    int64, and the graph is the one generated at int32."""
+    case = (1000, 2.1, 2.76, 3.0, 1)
+    narrow = generate_scale_free(*case)
+    monkeypatch.setattr(graph, "_INT32_MAX", case[0] - 1)
+    wide = generate_scale_free(*case)
+    for attr in ("_indices", "_indptr", "_data"):  # the arrays the graph holds, as generated
+        assert getattr(narrow, attr).dtype == np.int32, attr
+        assert getattr(wide, attr).dtype == np.int64, attr
+        np.testing.assert_array_equal(getattr(wide, attr), getattr(narrow, attr))
+    assert wide.names == narrow.names and wide.content_hash() == narrow.content_hash()
+    written = []
+    for g in (narrow, wide):
+        out = io.StringIO()
+        write_edge_list(g, out)
+        written.append(out.getvalue())
+    assert written[0] == written[1]
 
 
 # A generated graph written, hashed and counted in a fresh interpreter.

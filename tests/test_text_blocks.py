@@ -33,6 +33,7 @@ from rankplane import (
     RankTable,
     load_edge_list,
     read_rank_table,
+    two_d_rank,
     write_edge_list,
     write_rank_table,
 )
@@ -157,8 +158,9 @@ def reference_check_table(names: list[str], columns: dict[str, list], meta: dict
     """Nothing, unless a rank column is not a permutation of 1..N, N is not
     the header's subset_size or n_nodes, a probability lies outside [0, 1],
     in a full table a probability column does not sum to 1 within 1e-9, a
-    probability rises from one rank to the next, a header value the package
-    writes is bad, or a name is on two rows."""
+    probability rises from one rank to the next, rank2d is not the order in
+    which rows enter the growing square of (pagerank_rank, cheirank_rank),
+    a header value the package writes is bad, or a name is on two rows."""
     n = len(names)
     for col in ("pagerank_rank", "cheirank_rank", "rank2d"):
         if sorted(columns[col]) != list(range(1, n + 1)):
@@ -181,6 +183,10 @@ def reference_check_table(names: list[str], columns: dict[str, list], meta: dict
         by_rank = [p for _, p in sorted(zip(columns[col + "_rank"], columns[col]))]
         if any(later > earlier for earlier, later in zip(by_rank, by_rank[1:])):
             raise ParseError(f"{col}_rank does not follow {col}")
+    k, k_star = columns["pagerank_rank"], columns["cheirank_rank"]
+    square = sorted(range(n), key=lambda i: (max(k[i], k_star[i]), k_star[i] > k[i]))
+    if [columns["rank2d"][i] for i in square] != list(range(1, n + 1)):
+        raise ParseError("rank2d is not the square order")
     for key, good in (
         ("alpha", lambda v: 0.0 < float(v) <= 1.0),
         ("alpha_star", lambda v: 0.0 < float(v) <= 1.0),
@@ -540,8 +546,9 @@ def ranks_by(values: list[float], tie_order: list[int]) -> list[int]:
 def whole_table_texts(draw):
     """Tables a solve could have written, each number in any text float() or
     int() reads the same, some with a row repeated or dropped, a rank
-    changed, two ranks of unequal probabilities swapped, a name repeated, or
-    a header that gives another size or a bad value."""
+    changed, two ranks of unequal probabilities swapped, two rank2d values
+    swapped, a name repeated, or a header that gives another size or a bad
+    value."""
     n = draw(st.integers(1, 8))
     names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
     columns, ranks = [], []
@@ -549,8 +556,8 @@ def whole_table_texts(draw):
         weights = draw(st.lists(st.integers(1, draw(st.sampled_from([2, 1000]))), min_size=n, max_size=n))
         columns.append([w / sum(weights) for w in weights])
         ranks.append(ranks_by(columns[-1], draw(st.permutations(range(n)))))
-    ranks.append(draw(st.permutations(range(1, n + 1))))
-    fault = draw(st.sampled_from(["none"] * 4 + ["repeat", "drop", "rank", "order", "name"]))
+    ranks.append(two_d_rank(*ranks).tolist())
+    fault = draw(st.sampled_from(["none"] * 4 + ["repeat", "drop", "rank", "order", "square", "name"]))
     if fault == "order":
         column = draw(st.integers(0, 1))
         values = columns[column]
@@ -558,6 +565,9 @@ def whole_table_texts(draw):
         if unequal:
             i, j = draw(st.sampled_from(unequal))
             ranks[column][i], ranks[column][j] = ranks[column][j], ranks[column][i]
+    elif fault == "square" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        ranks[2][i], ranks[2][j] = ranks[2][j], ranks[2][i]
     elif fault == "name" and n > 1:
         i, j = draw(st.permutations(range(n)))[:2]
         names[i] = names[j]
@@ -763,8 +773,8 @@ def tables(draw):
         "label": LABELS,
         "n": LABELS,
     }))
-    return RankTable(names=names, rank2d=draw(st.permutations(range(1, n + 1))), meta=meta,
-                     **columns)
+    rank2d = two_d_rank(columns["pagerank_rank"], columns["cheirank_rank"])
+    return RankTable(names=names, rank2d=rank2d, meta=meta, **columns)
 
 
 @settings(max_examples=200, deadline=None)
@@ -792,11 +802,11 @@ BAD_HEADER_VALUES = {
 def refused_fields(draw):
     """An accepted table's fields with one of them made bad: a probability
     that is NaN, infinite or outside [0, 1], a rank out of range or
-    repeated, or a bad header value."""
+    repeated, two rank2d values swapped, or a bad header value."""
     table = draw(tables())
     fields = {f.name: getattr(table, f.name) for f in dataclasses.fields(table) if f.init}
     n = len(table)
-    kind = draw(st.sampled_from(["probability", "rank", "header"]))
+    kind = draw(st.sampled_from(["probability", "rank", "header"] + (["square"] if n > 1 else [])))
     if kind == "probability":
         key = draw(st.sampled_from(["pagerank", "cheirank"]))
         bad = st.just(math.nan) | st.floats(max_value=-5e-324) | st.floats(1.0, exclude_min=True)
@@ -811,6 +821,10 @@ def refused_fields(draw):
         i = draw(st.integers(0, n - 1))
         ranks[i] = draw(bad.filter(lambda r: r != ranks[i]))
         fields[key] = ranks
+    elif kind == "square":
+        i, j = draw(st.permutations(range(n)))[:2]
+        fields["rank2d"] = fields["rank2d"].copy()
+        fields["rank2d"][[i, j]] = fields["rank2d"][[j, i]]
     else:
         bad = {**BAD_HEADER_VALUES, "n_nodes": [n - 1, "x", math.nan]}
         key = draw(st.sampled_from(sorted(bad)))
@@ -822,7 +836,8 @@ def refused_fields(draw):
 @given(fields=refused_fields())
 def test_a_table_that_is_not_whole_cannot_be_made(fields):
     """The NaN, infinite, out-of-range and non-permutation columns the writer
-    test once drew, and bad header values: RankTable refuses each."""
+    test once drew, a rank2d out of the square order, and bad header values:
+    RankTable refuses each."""
     with pytest.raises(ContractViolation):
         RankTable(**fields)
 

@@ -161,7 +161,7 @@ def test_a_table_built_directly_is_checked():
     """Ranks that do not follow the probabilities used to build, and
     subset_rank then re-ranked members a and b to [2, 1] for [0.5, 0.3]."""
     columns = dict(pagerank=[0.5, 0.3, 0.2], cheirank=[0.2, 0.3, 0.5], cheirank_rank=[3, 2, 1],
-                   rank2d=[1, 2, 3])
+                   rank2d=[3, 1, 2])
     with pytest.raises(ContractViolation, match="pagerank_rank does not follow the pagerank column"):
         RankTable(["a", "b", "c"], pagerank_rank=[3, 2, 1], **columns)
     t = RankTable(["a", "b", "c"], pagerank_rank=[1, 2, 3], **columns)
@@ -176,6 +176,37 @@ def test_a_table_built_directly_is_checked():
             RankTable(["a", "b", "c"], **{**columns, "pagerank_rank": [1, 2, 3], key: short})
 
 
+SQUARE_ORDER = "rank2d is not the square order of pagerank_rank and cheirank_rank"
+
+
+def six_row_table():
+    return build_rank_table(list("abcdef"), [0.3, 0.25, 0.2, 0.12, 0.08, 0.05],
+                            [0.05, 0.3, 0.08, 0.25, 0.12, 0.2])
+
+
+def test_a_rank2d_out_of_the_square_order_is_refused():
+    """rank2d was checked only as a permutation: with two of its values
+    swapped a table was made, and names_by("rank2d") listed the wrong order."""
+    t = six_row_table()
+    for i, j in itertools.combinations(range(len(t)), 2):
+        swapped = t.rank2d.copy()
+        swapped[[i, j]] = swapped[[j, i]]
+        with pytest.raises(ContractViolation, match=SQUARE_ORDER):
+            dataclasses.replace(t, rank2d=swapped)
+
+
+def test_a_rank_table_file_with_rank2d_out_of_the_square_order_is_a_parse_error():
+    """Such a file used to read back without error."""
+    buf = io.StringIO()
+    write_rank_table(six_row_table(), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    (a, x), (b, y) = (line.rsplit("\t", 1) for line in lines[-2:])
+    text = "".join(lines[:-2] + [f"{a}\t{y}", f"{b}\t{x}"])
+    assert len(read_rank_table(io.StringIO(buf.getvalue()))) == 6
+    with pytest.raises(ParseError, match=SQUARE_ORDER):
+        read_rank_table(io.StringIO(text))
+
+
 @pytest.mark.parametrize(
     "meta, cause",
     [
@@ -184,6 +215,7 @@ def test_a_table_built_directly_is_checked():
         ({"tol": math.nan}, "bad tol in the table header: nan"),
         ({"tol": 0.0}, "bad tol in the table header"),
         ({"tol": math.inf}, "bad tol in the table header"),
+        ({"tol": "x"}, "bad tol in the table header: x"),
         ({"max_iter": -5}, "bad max_iter in the table header: -5"),
         ({"max_iter": 0}, "bad max_iter in the table header"),
         ({"max_iter": 2.5}, "bad max_iter in the table header"),
