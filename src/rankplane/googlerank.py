@@ -11,6 +11,10 @@ which is exactly the damped Google matrix product in exact arithmetic: the
 dangling columns (nodes without outgoing links) act as uniform 1/N columns
 via the rank-1 correction, and the teleport term spreads (1-alpha)
 uniformly.
+
+The operator takes the link matrix it multiplies, row i holding the links
+into node i: the adjacency's transpose for PageRank, and for CheiRank
+(PageRank with every link reversed) the adjacency itself.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class RankVector:
 
     kind is "pagerank" (forward links) or "cheirank" (inverted links).
     sweep holds the vectors of the smaller damping factors solved alongside
-    this one (pagerank's `sweep`), keyed by damping factor.
+    this one (the solver's `sweep`), keyed by damping factor.
     """
 
     kind: str
@@ -74,37 +78,35 @@ def _row_block(m: sp.csr_matrix, a: int, b: int) -> sp.csr_matrix:
 
 
 class GoogleOperator:
-    """Reusable damped-transition operator for one (graph, alpha) pair.
+    """Reusable damped-transition operator for one (links, alpha) pair.
 
-    The push matrix (transposed, column-normalized adjacency) is built once;
-    apply() is then a sparse matvec plus two scalar corrections.  With
-    workers > 1 the output rows are partitioned into contiguous chunks and
-    computed concurrently; every output component is the same dot product
-    regardless of the partition, so results are bitwise independent of the
-    worker count.  The threads used are capped at the node count and at
-    the CPU count.
+    Row i of the CSR `links` holds the multiplicities of the links into node
+    i.  The push matrix, `links` with each entry divided by its column's sum,
+    is built once over `links`' index arrays; apply() is then a sparse matvec
+    plus two scalar corrections.  With workers > 1 the output rows are
+    partitioned into contiguous chunks and computed concurrently; every
+    output component is the same dot product regardless of the partition, so
+    results are bitwise independent of the worker count.  The threads used
+    are capped at the node count and at the CPU count.
     """
 
-    def __init__(self, g: DirectedGraph, alpha: float, workers: int = 1):
+    def __init__(self, links: sp.csr_matrix, alpha: float, workers: int = 1):
         if not 0.0 < alpha <= 1.0:
             raise ContractViolation(f"alpha must lie in (0, 1], got {alpha}")
         if workers < 1:
             raise ContractViolation(f"workers must be >= 1, got {workers}")
-        if g.n_nodes == 0:
+        if links.shape[0] == 0:
             raise ContractViolation("cannot rank a graph with no nodes")
         import scipy.sparse as sp
 
         self.alpha = alpha
-        self.n = g.n_nodes
-        out_w = g.out_weight()
-        self.dangling = np.flatnonzero(out_w == 0.0)
-
-        # Entry (i, j) is A[j, i] / out_w[j], over the index arrays of A's
-        # shared transpose; the only new array is the float64 data.
-        at = invert(g).adj
-        data = out_w[at.indices]
-        np.divide(at.data, data, out=data)
-        self.push = sp.csr_matrix((data, at.indices, at.indptr), shape=at.shape)
+        self.n = links.shape[0]
+        # Summed as int64, then converted: float sums could round above 2**53.
+        weight = np.asarray(links.sum(axis=0, dtype=np.int64), dtype=np.float64).ravel()
+        self.dangling = np.flatnonzero(weight == 0.0)
+        data = weight[links.indices]
+        np.divide(links.data, data, out=data)
+        self.push = sp.csr_matrix((data, links.indices, links.indptr), shape=links.shape)
 
         self.workers = min(workers, self.n, os.cpu_count() or 1)
         self._chunks: list[tuple[int, int, sp.csr_matrix]] = []
@@ -141,7 +143,7 @@ class GoogleOperator:
 
 
 def _power_iteration(
-    g: DirectedGraph,
+    links: sp.csr_matrix,
     alpha: float,
     tol: float,
     max_iter: int,
@@ -149,8 +151,8 @@ def _power_iteration(
     kind: str,
     sweep: Sequence[float] = (),
 ) -> RankVector:
-    """Power iteration at alpha from the uniform vector, and at each beta in
-    sweep (a "rider") from the same iterates.
+    """Power iteration of GoogleOperator(links, alpha) from the uniform
+    vector, and at each beta in sweep (a "rider") from the same iterates.
 
     The step x_k - x_{k-1} at alpha is alpha^k times a vector that does not
     depend on the damping factor (Boldi, Santini & Vigna, "PageRank as a
@@ -166,8 +168,8 @@ def _power_iteration(
     for beta in sweep:
         if not 0.0 < beta < alpha:
             raise ContractViolation(f"sweep values must lie in (0, {alpha}), got {beta}")
-    n = g.n_nodes
-    op = GoogleOperator(g, alpha, workers=workers)
+    n = links.shape[0]
+    op = GoogleOperator(links, alpha, workers=workers)
     try:
         v = np.full(n, 1.0 / n)
         diff = np.empty(n)
@@ -217,10 +219,11 @@ def pagerank(
 ) -> RankVector:
     """Stationary probability of the damped random surfer on g.
 
-    Each damping factor in sweep, all in (0, alpha), is solved from the same
+    It multiplies g's transpose, made for this solve and dropped with it.  Each
+    damping factor in sweep, all in (0, alpha), is solved from the same
     iterations (see _power_iteration); its vector is in the result's sweep.
     """
-    return _power_iteration(g, alpha, tol, max_iter, workers, kind="pagerank", sweep=sweep)
+    return _power_iteration(invert(g).adj, alpha, tol, max_iter, workers, "pagerank", sweep)
 
 
 def cheirank(
@@ -229,6 +232,11 @@ def cheirank(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
+    *,
+    sweep: Sequence[float] = (),
 ) -> RankVector:
-    """PageRank of the link-inverted graph: highlights outgoing connectivity."""
-    return _power_iteration(invert(g), alpha_star, tol, max_iter, workers, kind="cheirank")
+    """PageRank of the link-inverted graph: highlights outgoing connectivity.
+
+    It multiplies g.adj: its links into node i are g's links out of i.
+    """
+    return _power_iteration(g.adj, alpha_star, tol, max_iter, workers, "cheirank", sweep)

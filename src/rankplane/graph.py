@@ -71,8 +71,6 @@ class DirectedGraph:
         self._adj: sp.csr_matrix | None = None
         self.ingest: IngestStats | None = None  # set by load_edge_list
         self._name_index: dict[str, int] | None = None
-        self._out_weight: np.ndarray | None = None
-        self._transpose: sp.csr_matrix | None = None  # invert(self).adj
         self._content_hash: str | None = None
 
     # ---- construction ----------------------------------------------------
@@ -149,9 +147,7 @@ class DirectedGraph:
 
     def out_weight(self) -> np.ndarray:
         """Multiplicity-weighted out-degree per node (float64)."""
-        if self._out_weight is None:
-            self._out_weight = np.asarray(self.adj.sum(axis=1), dtype=np.float64).ravel()
-        return self._out_weight
+        return np.asarray(self.adj.sum(axis=1), dtype=np.float64).ravel()
 
     def content_hash(self) -> str:
         """Stable hex digest of the node table plus canonical CSR arrays,
@@ -182,15 +178,10 @@ def _int_type(largest: float) -> type:
 def invert(g: DirectedGraph) -> DirectedGraph:
     """Reverse every link: edge (i -> j, m) becomes (j -> i, m).
 
-    The result shares g's node table and arrays: its adjacency is g's
-    transpose, built on first use and kept on g, and its own transpose is
-    g.adj, so invert(invert(g)).adj is g.adj and no second copy is made.
+    The result shares g's node table; its adjacency is a new CSR, g's
+    transpose, that lives as long as the result does.
     """
-    if g._transpose is None:
-        g._transpose = g.adj.T.tocsr()
-    inverse = DirectedGraph(g.names, g._transpose)
-    inverse._transpose = g.adj
-    return inverse
+    return DirectedGraph(g.names, g.adj.T.tocsr())
 
 
 def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True) -> dict[int, int]:

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -82,9 +82,9 @@ def correlator_sweep(
     Modes: "diagonal" walks alpha = alpha_star over `alphas`; "fix_alpha"
     holds alphas[0] and walks `alpha_stars`; "fix_alpha_star" holds
     alpha_stars[0] and walks `alphas`.  Each direction is one power
-    iteration (`_solve_all`), so the sweep builds two operators.  Points
-    where either solve fails to converge are kept in the output, flagged
-    converged=False with NaN kappa.
+    iteration (`_solve_all`: pagerank, then cheirank), so the sweep builds
+    two operators.  Points where either solve fails to converge are kept in
+    the output, flagged converged=False with NaN kappa.
     """
     if mode == "diagonal":
         pairs = [(a, a) for a in alphas]
@@ -104,10 +104,10 @@ def correlator_sweep(
                 f"sweep damping values must lie strictly inside (0, 1), got ({a}, {s})"
             )
 
-    from .graph import invert
+    from .googlerank import cheirank, pagerank
 
-    forward = _solve_all(g, [a for a, _ in pairs], tol, max_iter)
-    backward = _solve_all(invert(g), [s for _, s in pairs], tol, max_iter)
+    forward = _solve_all(pagerank, g, [a for a, _ in pairs], tol, max_iter)
+    backward = _solve_all(cheirank, g, [s for _, s in pairs], tol, max_iter)
     points: list[CorrelatorPoint] = []
     for a, s in pairs:
         p, p_star = forward[a], backward[s]
@@ -119,23 +119,21 @@ def correlator_sweep(
 
 
 def _solve_all(
-    g: DirectedGraph, alphas: Sequence[float], tol: float, max_iter: int
+    solve: Callable, g: DirectedGraph, alphas: Sequence[float], tol: float, max_iter: int
 ) -> dict[float, RankVector | None]:
-    """PageRank of g at every alpha, None where it does not converge.
+    """solve(g, alpha) at every alpha, None where it does not converge.
 
     The largest alpha drives one power iteration and the others ride on it
-    (pagerank's `sweep`).  When the driver does not converge, the riders it
+    (the solver's `sweep`).  When the driver does not converge, the riders it
     finished are kept.  A rider unfinished at max_iter has had the budget of
     its own solve, so it stays None with the driver.
     """
-    from .googlerank import pagerank
-
     solved: dict[float, RankVector | None] = dict.fromkeys(alphas)
     if not solved:
         return solved
     driver, *riders = sorted(solved, reverse=True)
     try:
-        rv = pagerank(g, alpha=driver, tol=tol, max_iter=max_iter, sweep=riders)
+        rv = solve(g, driver, tol=tol, max_iter=max_iter, sweep=riders)
     except ConvergenceError as exc:
         solved.update(exc.sweep)
     else:

@@ -4,8 +4,10 @@ perfbench/tracing.py wraps a fixed list of rankplane functions and methods
 (`TARGETS`) and refuses to run when one has gone.  This checks the same
 resolution here, without installing any wrapper, so that renaming or deleting
 a pinned function fails the unit tests and not only the benchmark.  The
-alpha_sweep workload also needs its solves to be seen: a traced
-correlator_sweep must reach the pinned `pagerank` on both directions.  And
+alpha_sweep workload also needs its solves to be seen: the metrics the
+benchmark reads from a traced correlator_sweep (`tracing.layer_metrics`)
+must count iterations in both directions, two operator builds and the
+transpose that `pagerank` makes through the pinned `invert`.  And
 the subset commands, which read name files through `textio`, must still be
 seen through the pin `graph.load_node_subset`.
 """
@@ -24,10 +26,15 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_every_traced_target_resolves_to_a_callable():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_target_resolves_to_a_callable():
+    tracing = load_tracing()
     missing = []
     for layer, attrs in tracing.TARGETS.items():
         module = importlib.import_module(f"rankplane.{layer}")
@@ -67,12 +74,13 @@ def traced(script, *args):
 
 
 def test_a_traced_sweep_reaches_the_pinned_solver_in_both_directions():
-    spans = traced(TRACED_SWEEP)
-    solves = [s for s in spans if s["name"] == "googlerank.pagerank"]
-    assert sorted(s["inverted"] for s in solves) == [False, True]
-    assert all(type(s["iterations"]) is int and s["iterations"] > 0 for s in solves)
-    builds = [s for s in spans if s["name"] == "googlerank.GoogleOperator.__init__"]
-    assert len(builds) == 2
+    tracing = load_tracing()
+    spans = tracing.Spans([{"startup_s": 0.0, "spans": traced(TRACED_SWEEP)}])
+    metrics = tracing.layer_metrics(spans, edge_list_bytes=0, table_bytes=0)
+    assert metrics["googlerank.iterations.pagerank"] > 0
+    assert metrics["googlerank.iterations.cheirank"] > 0
+    assert metrics["googlerank.operator_builds"] == 2
+    assert spans.reached("graph.invert")
 
 
 TRACED_SUBSETS = """

@@ -130,7 +130,7 @@ def test_worker_row_blocks_are_views_of_the_push_matrix(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     rng = np.random.default_rng(3)
     g = random_graph(rng, n=60, density=0.15)
-    op = GoogleOperator(g, 0.85, workers=3)
+    op = GoogleOperator(invert(g).adj, 0.85, workers=3)
     try:
         assert len(op._chunks) == 3
         for a, b, block in op._chunks:
@@ -144,7 +144,7 @@ def test_worker_row_blocks_are_views_of_the_push_matrix(monkeypatch):
 def test_worker_threads_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     g = random_graph(np.random.default_rng(3), n=60, density=0.15)
-    op = GoogleOperator(g, 0.85, workers=10**6)  # starts no thread until apply()
+    op = GoogleOperator(invert(g).adj, 0.85, workers=10**6)  # starts no thread until apply()
     try:
         assert op.workers == 2
         assert len(op._chunks) <= 2
@@ -184,7 +184,7 @@ def test_push_matrix_is_bitwise_the_reference(monkeypatch, workers):
     graphs.append(edgeless)
     for g in graphs + [invert(g) for g in graphs]:
         expected = reference_push(g)
-        op = GoogleOperator(g, 0.85, workers=workers)
+        op = GoogleOperator(invert(g).adj, 0.85, workers=workers)
         try:
             assert op.push.data.dtype == np.float64
             assert op.push.data.tobytes() == expected.data.tobytes()
@@ -194,25 +194,49 @@ def test_push_matrix_is_bitwise_the_reference(monkeypatch, workers):
             op.close()
 
 
-def test_pagerank_and_cheirank_operators_share_one_transpose():
+def test_each_operator_pushes_over_the_index_arrays_of_its_link_matrix():
     g = multigraph(5)
-    assert invert(invert(g)).adj is g.adj
-    assert invert(g).adj is invert(g).adj
-    op = GoogleOperator(invert(g), 0.85)
+    op = GoogleOperator(g.adj, 0.85)  # CheiRank's
     assert np.shares_memory(op.push.indices, g.adj.indices)
     assert np.shares_memory(op.push.indptr, g.adj.indptr)
-    op = GoogleOperator(g, 0.85)
-    assert np.shares_memory(op.push.indices, invert(g).adj.indices)
+    links = invert(g).adj  # PageRank's
+    op = GoogleOperator(links, 0.85)
+    assert np.shares_memory(op.push.indices, links.indices)
+    assert np.shares_memory(op.push.indptr, links.indptr)
 
 
 def test_operator_build_allocates_one_float_array_per_nonzero():
     g = multigraph(9, n=5000, edges=60000)
-    invert(g)  # the transpose and the out-weights are kept on the graph
-    g.out_weight()
+    links = invert(g).adj
     nnz, n = g.adj.nnz, g.n_nodes
     tracemalloc.start()
     try:
-        GoogleOperator(g, 0.85)
+        GoogleOperator(links, 0.85)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * nnz + 32 * n, f"{peak / nnz:.1f} bytes per nonzero"
+
+
+def test_pagerank_keeps_no_transpose_once_it_returns():
+    pagerank(multigraph(1))  # imports happen outside the trace
+    g = multigraph(9, n=5000, edges=60000)
+    tracemalloc.start()
+    try:
+        pagerank(g)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 16 * g.n_nodes, f"{kept / g.adj.nnz:.1f} bytes per nonzero"
+
+
+def test_cheirank_allocates_no_transposed_index_array():
+    cheirank(multigraph(1))  # imports happen outside the trace
+    g = multigraph(9, n=5000, edges=60000)
+    nnz, n = g.adj.nnz, g.n_nodes
+    tracemalloc.start()
+    try:
+        cheirank(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,7 +259,7 @@ def test_apply_google_matches_dense_operator():
     g = random_graph(rng, n=20)
     v = rng.random(20)
     v /= v.sum()
-    got = GoogleOperator(g, 0.85).apply(v)
+    got = GoogleOperator(invert(g).adj, 0.85).apply(v)
     expected = dense_google_matrix(g, 0.85) @ v
     np.testing.assert_allclose(got, expected, atol=1e-14)
     assert abs(got.sum() - 1.0) < 1e-12  # column-stochastic: mass preserved
@@ -294,17 +318,18 @@ SWEEP = (0.3, 0.5, 0.7, 0.8, 0.85)
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("direction", ["forward", "inverted"])
+@pytest.mark.parametrize("direction", ["forward", "inverted", "cheirank"])
 def test_each_rider_is_its_own_power_iteration(seed, direction):
     g = multigraph(seed)
     assert g.adj.diagonal().any() and g.adj.data.max() > 1 and (g.out_weight() == 0).any()
     if direction == "inverted":
         g = invert(g)
-    driven = pagerank(g, alpha=0.9, sweep=SWEEP)
+    solve = cheirank if direction == "cheirank" else pagerank
+    driven = solve(g, 0.9, sweep=SWEEP)
     assert list(driven.sweep) == list(SWEEP)
     for beta, rider in driven.sweep.items():
-        alone = pagerank(g, alpha=beta)
-        assert (rider.kind, rider.alpha, rider.sweep) == ("pagerank", beta, {})
+        alone = solve(g, beta)
+        assert (rider.kind, rider.alpha, rider.sweep) == (solve.__name__, beta, {})
         assert rider.iterations == alone.iterations <= driven.iterations
         assert rider.residual < 1e-10
         assert np.abs(rider.values - alone.values).sum() <= 1e-13
@@ -312,12 +337,14 @@ def test_each_rider_is_its_own_power_iteration(seed, direction):
 
 def test_riders_leave_the_driver_bitwise_unchanged():
     g = multigraph(7)
-    alone = pagerank(g, alpha=0.85)
-    assert alone.sweep == {}
-    for sweep in [(), (0.2, 0.6)]:
-        driven = pagerank(g, 0.85, sweep=sweep)
-        assert driven.values.tobytes() == alone.values.tobytes()
-        assert (driven.iterations, driven.residual) == (alone.iterations, alone.residual)
+    for solve in (pagerank, cheirank):
+        alone = solve(g, 0.85)
+        assert alone.sweep == {}
+        for sweep in [(), (0.2, 0.6)]:
+            driven = solve(g, 0.85, sweep=sweep)
+            assert driven.kind == solve.__name__
+            assert driven.values.tobytes() == alone.values.tobytes()
+            assert (driven.iterations, driven.residual) == (alone.iterations, alone.residual)
 
 
 @pytest.mark.parametrize("beta", [0.85, 0.9, 0.0, -0.1, float("nan")])
@@ -331,9 +358,9 @@ def operator_builds(monkeypatch) -> list[float]:
     built = []
     init = GoogleOperator.__init__
 
-    def counting_init(self, g, alpha, workers=1):
+    def counting_init(self, links, alpha, workers=1):
         built.append(alpha)
-        init(self, g, alpha, workers)
+        init(self, links, alpha, workers)
 
     monkeypatch.setattr(GoogleOperator, "__init__", counting_init)
     return built
