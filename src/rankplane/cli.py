@@ -69,7 +69,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    from . import googlerank, graph, netstats, twodrank
+    from . import googlerank, graph, netstats, textio, twodrank
     g = graph.load_edge_list(args.edges)
     solve = dict(tol=args.tol, max_iter=args.max_iter, workers=args.workers)
     p = googlerank.pagerank(g, alpha=args.alpha, **solve)
@@ -90,7 +90,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             "n_nodes": g.n_nodes,
             "n_edges": g.n_edges,
             "total_edge_weight": g.total_edge_weight,
-            "dangling_nodes": int((g.out_weight() == 0).sum()),
+            "dangling_nodes": int((g.adj.indptr[1:] == g.adj.indptr[:-1]).sum()),
         },
         "solves": {
             "pagerank": {"iterations": p.iterations, "residual": p.residual},
@@ -99,10 +99,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "kappa": point.kappa,
         "outputs": {"table": str(args.output)},
     }
-    manifest_path = args.manifest or f"{args.output}.manifest.json"
-    Path(manifest_path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with textio.open_text(args.manifest or f"{args.output}.manifest.json", "w") as out:
+        out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(
         f"ranked {g.n_nodes} nodes (pagerank {p.iterations} it, cheirank "
         f"{p_star.iterations} it, kappa={point.kappa:.6g}) -> {args.output}"

@@ -83,11 +83,11 @@ class GoogleOperator:
     Row i of the CSR `links` holds the multiplicities of the links into node
     i.  The push matrix, `links` with each entry divided by its column's sum,
     is built once over `links`' index arrays; apply() is then a sparse matvec
-    plus two scalar corrections.  With workers > 1 the output rows are
-    partitioned into contiguous chunks and computed concurrently; every
-    output component is the same dot product regardless of the partition, so
-    results are bitwise independent of the worker count.  The threads used
-    are capped at the node count and at the CPU count.
+    plus two scalar corrections.  With workers > 1 the push matrix's rows are
+    cut into contiguous blocks, multiplied concurrently and concatenated in
+    order; every output component is the same dot product regardless of the
+    cut, so results are bitwise independent of the worker count.  The threads
+    used are capped at the node count and at the CPU count.
     """
 
     def __init__(self, links: sp.csr_matrix, alpha: float, workers: int = 1):
@@ -109,27 +109,22 @@ class GoogleOperator:
         self.push = sp.csr_matrix((data, links.indices, links.indptr), shape=links.shape)
 
         self.workers = min(workers, self.n, os.cpu_count() or 1)
-        self._chunks: list[tuple[int, int, sp.csr_matrix]] = []
+        self._blocks: list[sp.csr_matrix] = []
         if self.workers > 1:
             # Contiguous row ranges balanced by nnz.
             targets = np.linspace(0, self.push.nnz, self.workers + 1)
             bounds = np.searchsorted(self.push.indptr, targets)
             bounds[0], bounds[-1] = 0, self.n
             for a, b in zip(bounds[:-1], bounds[1:]):
-                a, b = int(a), int(b)
                 if a < b:
-                    self._chunks.append((a, b, _row_block(self.push, a, b)))
+                    self._blocks.append(_row_block(self.push, int(a), int(b)))
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One operator application; assumes v is already a probability vector."""
         if self.workers > 1:
-            y = np.empty(self.n, dtype=np.float64)
-            futures = [
-                self._pool.submit(chunk.dot, v) for _, _, chunk in self._chunks
-            ]
-            for (a, b, _), fut in zip(self._chunks, futures):
-                y[a:b] = fut.result()
+            futures = [self._pool.submit(block.dot, v) for block in self._blocks]
+            y = np.concatenate([fut.result() for fut in futures])
         else:
             y = self.push @ v
         y *= self.alpha

@@ -145,10 +145,6 @@ class DirectedGraph:
         """Distinct (source, target) pairs."""
         return len(self._data)
 
-    def out_weight(self) -> np.ndarray:
-        """Multiplicity-weighted out-degree per node (float64)."""
-        return np.asarray(self.adj.sum(axis=1), dtype=np.float64).ravel()
-
     def content_hash(self) -> str:
         """Stable hex digest of the node table plus canonical CSR arrays,
         computed once per graph."""

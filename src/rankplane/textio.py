@@ -99,16 +99,16 @@ _PARSERS = {"U": str, "d": float, "q": int}
 
 
 def read_series(
-    source: str | Path | IO[str], types: Mapping[str, str] | None = None, sep: str = ","
+    source: str | Path | IO[str], types: Mapping[str, str], sep: str = ","
 ) -> tuple[dict[str, str], dict]:
     """The header values and the columns of a column file.
 
     Before the column line, '#' lines are header lines of key=value pairs,
     every value a string; after it, every line that is not blank is a row of
-    sep-separated fields.  With types (column -> type code) the column line
-    must name exactly those columns and each converts to its type; without,
-    every column is text.  A missing or wrong column line, a row with the
-    wrong field count or a value that does not convert is a ParseError.
+    sep-separated fields.  The column line must name exactly the columns of
+    types (column -> type code), in order, and each converts to its type.  A
+    missing or wrong column line, a row with the wrong field count or a value
+    that does not convert is a ParseError.
     """
     meta: dict[str, str] = {}
     columns: dict | None = None
@@ -124,9 +124,7 @@ def read_series(
                     continue
                 fields = line.split(sep)
                 if columns is None:
-                    if types is None:
-                        types = dict.fromkeys(fields, "U")
-                    elif fields != list(types):
+                    if fields != list(types):
                         raise ParseError(f"expected the columns {','.join(types)}", line_no)
                     columns = {k: [] if code == "U" else array(code) for k, code in types.items()}
                     continue
@@ -138,9 +136,7 @@ def read_series(
                 except (ValueError, OverflowError) as exc:
                     raise ParseError(f"bad value: {exc}", line_no) from None
     if columns is None:
-        if types is not None:
-            raise ParseError(f"missing the column line {','.join(types)}")
-        return meta, {}
+        raise ParseError(f"missing the column line {','.join(types)}")
     import numpy as np
 
     return meta, {k: v if isinstance(v, list) else np.array(v) for k, v in columns.items()}
@@ -182,7 +178,8 @@ def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, str]]:
     """Yield (number of the first line, text) for consecutive blocks of whole
     lines, read about chars (by default _BLOCK_CHARS) characters at a time.
     LF, CRLF and a lone CR each end one line and become one LF, and a last
-    line without an end gets one, so every block ends in LF."""
+    line without an end gets one, so every block ends in LF.  One U+FEFF (a
+    byte order mark) that starts the stream is dropped; any other is text."""
     line_no, pending, more = 1, [], True
     while more:
         try:
@@ -205,6 +202,8 @@ def line_blocks(stream: IO[str], chars: int = 0) -> Iterator[tuple[int, str]]:
         pending = [chunk[cut:]]
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if line_no == 1:  # a byte order mark, not the first line's text
+            text = text.removeprefix("\ufeff")
         yield line_no, text
         line_no += text.count("\n")
 

@@ -184,8 +184,6 @@ def build_rank_table(
     meta: dict | None = None,
 ) -> RankTable:
     """Assemble the full table: both rank permutations plus the combined rank."""
-    if not len(pagerank_values) == len(cheirank_values) == len(names):
-        raise ContractViolation("probability vectors do not match the node table")
     k, k_star = rank_positions(pagerank_values), rank_positions(cheirank_values)
     return RankTable(list(names), pagerank_values, cheirank_values, k, k_star,
                      two_d_rank(k, k_star), dict(meta or {}))

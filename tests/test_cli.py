@@ -93,18 +93,27 @@ def test_rank_two_node_cycle(cycle_edges, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data", [b"a\tb\r\nb\ta\r\n", "\ufeffa\tb\nb\t\ufeffa\n".encode("utf-8")], ids=["crlf", "bom"]
+    "data, n_nodes",
+    [
+        (b"a\tb\r\nb\ta\r\n", 2),
+        # Only the U+FEFF that starts the file is a byte order mark: the
+        # second line's '\ufeffa' is a node of its own beside 'a' and 'b'.
+        ("\ufeffa\tb\nb\t\ufeffa\n".encode("utf-8"), 3),
+        ("\ufeffa\tb\nb\ta\n".encode("utf-8"), 2),
+    ],
+    ids=["crlf", "bom", "leading_bom"],
 )
-def test_rank_hashes_the_bytes_it_parsed(data, tmp_path, monkeypatch):
+def test_rank_hashes_the_bytes_it_parsed(data, n_nodes, tmp_path, monkeypatch):
     """The manifest's input.sha256 is the digest of the file's bytes, which
-    `rank` takes from the one read that parses them, a block at a time."""
+    `rank` takes from the one read that parses them, a block at a time: a
+    byte order mark's bytes too, though no name holds it."""
     path = tmp_path / "edges.tsv"
     path.write_bytes(data)
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 5)
     out = rank_table_for(path, tmp_path)
     manifest = json.loads(out.with_name("table.tsv.manifest.json").read_text())
     assert manifest["input"]["sha256"] == hashlib.sha256(data).hexdigest()
-    assert manifest["input"]["n_nodes"] == 2
+    assert manifest["input"]["n_nodes"] == n_nodes
 
 
 def test_rank_rerun_is_byte_identical(random_edges, tmp_path):
@@ -632,7 +641,7 @@ def test_slice_output(random_edges, tmp_path):
     table = rank_table_for(random_edges, tmp_path)
     out = tmp_path / "slice.csv"
     assert run("stats", "slice", table, "-o", out, "--x0", 1.5, "--cells", 10) == 0
-    meta, cols = read_series(out)
+    meta, cols = read_series(out, dict.fromkeys(["eta", "density"], "U"))
     assert float(meta["x0"]) == 1.5
     assert len(cols["eta"]) == len(cols["density"]) > 0
     assert all(0.0 <= float(v) <= 1.0 for v in cols["density"])
@@ -642,7 +651,7 @@ def test_correlator_output(random_edges, tmp_path):
     table_path = rank_table_for(random_edges, tmp_path)
     out = tmp_path / "kappa.csv"
     assert run("stats", "correlator", table_path, "-o", out) == 0
-    _, cols = read_series(out)
+    _, cols = read_series(out, dict.fromkeys(["alpha", "alpha_star", "kappa", "converged"], "U"))
     table = read_rank_table(table_path)
     expected = len(table) * float(np.dot(table.pagerank, table.cheirank)) - 1.0
     assert float(cols["kappa"][0]) == expected
@@ -658,7 +667,7 @@ def test_node_named_with_a_leading_hash_is_a_table_row(tmp_path):
     manifest = json.loads((tmp_path / "table.tsv.manifest.json").read_text())
     out = tmp_path / "kappa.csv"
     assert run("stats", "correlator", table_path, "-o", out) == 0
-    _, cols = read_series(out)
+    _, cols = read_series(out, dict.fromkeys(["alpha", "alpha_star", "kappa", "converged"], "U"))
     assert float(cols["kappa"][0]) == pytest.approx(manifest["kappa"], abs=1e-12)
     table = read_rank_table(table_path)
     assert sorted(table.names) == ["#b", "a", "b"]
@@ -686,7 +695,7 @@ def test_fitcurve_output(random_edges, tmp_path):
         "--column", "cheirank", "--fit-range", "2:40", "--bins", 10,
     )
     assert code == 0
-    meta, cols = read_series(out)
+    meta, cols = read_series(out, dict.fromkeys(["x", "y"], "U"))
     assert float(meta["exponent"]) > 0
     assert float(meta["fit_min"]) == 2.0 and float(meta["fit_max"]) == 40.0
     assert 3 <= len(cols["x"]) <= 10
@@ -805,6 +814,18 @@ def test_subset_command_strict_vs_lenient(random_edges, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "skipped 1 unresolved" in captured.err
     assert len(read_rank_table(tmp_path / "s.tsv")) == 2
+
+
+@pytest.mark.parametrize("mode", ["--strict", "--lenient"])
+def test_subset_member_file_with_a_byte_order_mark(random_edges, tmp_path, capsys, mode):
+    """A member file saved with a byte order mark (as Notepad saves UTF-8)
+    names its first member: it is neither unknown nor skipped."""
+    table_path = rank_table_for(random_edges, tmp_path)
+    members = tmp_path / "members.txt"
+    members.write_bytes("\ufeffv01\nv02\n".encode("utf-8"))
+    assert run("subset", table_path, members, "-o", tmp_path / "s.tsv", mode) == 0
+    assert "unresolved" not in capsys.readouterr().err
+    assert sorted(read_rank_table(tmp_path / "s.tsv").names) == ["v01", "v02"]
 
 
 def test_subset_label_a_file_cannot_hold_exits_4(random_edges, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Edge-list ingestion, multigraph semantics, inversion, degrees, subsets."""
 
+import ast
+import codecs
 import dataclasses
 import hashlib
 import io
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +75,11 @@ def named_edges(g: DirectedGraph) -> tuple[set, Counter]:
 def in_weight(g: DirectedGraph) -> np.ndarray:
     """Multiplicity-weighted in-degree per node."""
     return np.bincount(g.adj.indices, weights=g.adj.data, minlength=g.n_nodes)
+
+
+def out_weight(g: DirectedGraph) -> np.ndarray:
+    """Multiplicity-weighted out-degree per node."""
+    return np.asarray(g.adj.sum(axis=1), dtype=np.float64).ravel()
 
 
 def test_basic_parse_merges_duplicates():
@@ -220,6 +228,32 @@ def test_structural_equality_ignores_renumbering(tmp_path):
     assert named_edges(g2) == named_edges(g)  # ...yet the same graph
 
 
+@st.composite
+def edge_list_lines(draw):
+    """1-200 lines over 2-40 names, in half of the lists with a multiplicity
+    on every line; a pair may repeat, so multiplicities merge."""
+    node = st.integers(0, draw(st.integers(1, 39)))
+    count = st.integers(1, 9) if draw(st.booleans()) else st.just(None)
+    edges = draw(st.lists(st.tuples(node, node, count), min_size=1, max_size=200))
+    return [f"v{s}\tv{t}" + (f"\t{m}" if m else "") + "\n" for s, t, m in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=edge_list_lines(), order=st.randoms(use_true_random=False))
+def test_line_order_changes_no_edge_and_only_the_last_bits(lines, order):
+    """Node indices follow first appearance, so shuffled lines number the
+    nodes another way and the mat-vec sums in another order: the same named
+    edges, and each node's probabilities equal up to rounding."""
+    shuffled = lines[:]
+    order.shuffle(shuffled)
+    g, h = load("".join(lines)), load("".join(shuffled))
+    assert named_edges(h) == named_edges(g)
+    for solve in (pagerank, cheirank):
+        by_name = dict(zip(h.names, solve(h).values))
+        np.testing.assert_allclose([by_name[name] for name in g.names], solve(g).values,
+                                   rtol=1e-13, atol=0)
+
+
 def test_structural_equality_detects_changes():
     g = load("a\tb\nb\tc\n")
     assert named_edges(g) != named_edges(load("a\tb\t2\nb\tc\n"))  # multiplicity
@@ -233,8 +267,8 @@ def test_invert_swaps_directions():
     assert h.adj[1, 0] == 2
     assert h.adj[2, 1] == 1
     assert h.names == g.names
-    np.testing.assert_array_equal(h.out_weight(), in_weight(g))
-    np.testing.assert_array_equal(in_weight(h), g.out_weight())
+    np.testing.assert_array_equal(out_weight(h), in_weight(g))
+    np.testing.assert_array_equal(in_weight(h), out_weight(g))
 
 
 def test_invert_is_involution():
@@ -374,6 +408,11 @@ def test_subset_from_names():
 # ---- the text-file boundary, shared by every writer and reader --------------
 
 
+def text_columns(*columns):
+    """A reader of column files with these columns, every one read as text."""
+    return lambda source: read_series(source, dict.fromkeys(columns, "U"))
+
+
 def boundary_cases():
     """(writer, value, matching reader) for each file format the package writes."""
     g = load("a\tb\nb\t\u00e9\t2\n\u00e9\ta\n")
@@ -385,10 +424,11 @@ def boundary_cases():
         "edge_list": (write_edge_list, g, load_edge_list),
         "rank_table": (write_rank_table, table, read_rank_table),
         "density_grid": (write_density_grid, grid, read_density_grid),
-        "eta_slice": (write_eta_slice, slice_density(grid, 0.5), read_series),
+        "eta_slice": (write_eta_slice, slice_density(grid, 0.5), text_columns("eta", "density")),
         "power_law_fit": (write_power_law_fit, fit_power_law(x, x**-1.5, (1.0, 10.0), 4),
-                          read_series),
-        "correlator_points": (write_correlator_points, [correlator(p, p_star)], read_series),
+                          text_columns("x", "y")),
+        "correlator_points": (write_correlator_points, [correlator(p, p_star)],
+                              text_columns("alpha", "alpha_star", "kappa", "converged")),
         "overlap_series": (
             write_overlap_series,
             window_overlap(RankedList(tuple("abcd")), RankedList(tuple("bacd")), window=2),
@@ -450,7 +490,7 @@ def test_writers_and_readers_share_one_text_boundary(kind, tmp_path):
         (read_overlap_series, "# kind=window_fw window=two\nx,f\n10.0,0.5\n", None),
         (read_overlap_series, "# kind=cumulative_f\nx,f\n1.0,zz\n", 3),
         (read_overlap_series, "# kind=cumulative_f\nx,g\n1.0,0.5\n", 2),
-        (read_series, "a,b\n1\n", 2),
+        (text_columns("a", "b"), "a,b\n1\n", 2),
     ],
     ids=[
         "grid_cells", "grid_samples", "grid_negative_count", "grid_no_samples", "grid_one_rank",
@@ -542,6 +582,41 @@ def test_a_stream_reads_as_a_file_does(kind, line_end, newline, tmp_path, monkey
             expected = read_outcome(read, path)
             assert read_outcome(read, io.StringIO(body, newline=newline)) == expected
             assert expected[0] == ("parse_error" if kind.endswith("_error") else "ok"), expected
+
+
+@pytest.mark.parametrize("kind", list(stream_cases()))
+def test_a_byte_order_mark_is_no_part_of_the_first_line(kind, tmp_path):
+    """A file that starts with a UTF-8 byte order mark, as Notepad and
+    Excel's "CSV UTF-8" save one, reads as its plain copy does, from a path
+    and from a stream: the same value, or the same error at the same line."""
+    read, text = stream_cases()[kind]
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = read_outcome(read, path)
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert read_outcome(read, path) == expected
+    assert read_outcome(read, io.StringIO("\ufeff" + text)) == expected
+
+
+# Calls that open, read or write a file by its path.
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def test_every_file_goes_through_open_text():
+    """textio.open_text is the package's one way into a file, so every file
+    is UTF-8 with its line ends untranslated; a path opened, read or written
+    anywhere else would bypass both."""
+    calls = []
+    for path in sorted(Path(textio.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "textio.py":
+            tree.body = [node for node in tree.body if getattr(node, "name", None) != "open_text"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in FILE_CALLS:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
 
 
 MAX_WEIGHT = 2**63 - 1
@@ -648,7 +723,7 @@ HEADER_KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True)
 def test_header_values_read_back_as_their_text(meta):
     buf = io.StringIO()
     write_series({"x": [1]}, buf, meta)
-    back, columns = read_series(io.StringIO(buf.getvalue(), newline=None))
+    back, columns = read_series(io.StringIO(buf.getvalue(), newline=None), {"x": "U"})
     assert back == {k: str(v) for k, v in meta.items()}
     assert columns == {"x": ["1"]}
 

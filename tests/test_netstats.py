@@ -728,7 +728,8 @@ def test_generate_scale_free_basic_shape():
     assert g.n_nodes == n
     assert g.names[0] == "n0000" and g.names[-1] == "n1999"
     # stub trimming touches one side only: nobody ends up isolated
-    degrees = g.out_weight() + np.bincount(g.adj.indices, weights=g.adj.data, minlength=n)
+    out_weight = np.asarray(g.adj.sum(axis=1)).ravel()
+    degrees = out_weight + np.bincount(g.adj.indices, weights=g.adj.data, minlength=n)
     assert degrees.min() >= 1
     mean = g.total_edge_weight / n
     assert abs(mean - 4.0) / 4.0 < 0.25  # heavy-tailed draws wobble the sum
@@ -778,7 +779,7 @@ def test_eta_slice_round_trip():
     buf = io.StringIO()
     write_eta_slice(sl, buf)
     buf.seek(0)
-    meta, cols = read_series(buf)
+    meta, cols = read_series(buf, dict.fromkeys(["eta", "density"], "U"))
     assert float(meta["x0"]) == sl.x0
     np.testing.assert_array_equal([float(v) for v in cols["eta"]], sl.eta)
     np.testing.assert_array_equal([float(v) for v in cols["density"]], sl.density)
@@ -790,7 +791,7 @@ def test_power_law_fit_round_trip():
     buf = io.StringIO()
     write_power_law_fit(fit, buf)
     buf.seek(0)
-    meta, cols = read_series(buf)
+    meta, cols = read_series(buf, dict.fromkeys(["x", "y"], "U"))
     assert float(meta["exponent"]) == fit.exponent
     assert float(meta["fit_min"]) == 2.0 and float(meta["fit_max"]) == 300.0
     np.testing.assert_array_equal([float(v) for v in cols["x"]], fit.bin_x)
@@ -803,7 +804,7 @@ def test_correlator_points_round_trip():
     buf = io.StringIO()
     write_correlator_points(points, buf)
     buf.seek(0)
-    _, cols = read_series(buf)
+    _, cols = read_series(buf, dict.fromkeys(["alpha", "alpha_star", "kappa", "converged"], "U"))
     assert [float(v) for v in cols["kappa"]] == [pt.kappa for pt in points]
     assert [v == "1" for v in cols["converged"]] == [pt.converged for pt in points]
 
@@ -814,6 +815,6 @@ def test_correlator_points_with_numpy_alphas_round_trip():
     buf = io.StringIO()
     write_correlator_points(points, buf)
     buf.seek(0)
-    _, cols = read_series(buf)
+    _, cols = read_series(buf, dict.fromkeys(["alpha", "alpha_star", "kappa", "converged"], "U"))
     assert cols["alpha"] == cols["alpha_star"] == ["0.5", "0.85"]
     assert [float(v) for v in cols["kappa"]] == [pt.kappa for pt in points]

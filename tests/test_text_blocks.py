@@ -460,10 +460,12 @@ def ended_texts(draw):
 @example(text="ab\r\ncd\n", chars=3)  # a CRLF split between two reads
 @example(text="ab\rcd\r", chars=200)  # a CR last in the stream
 @example(text="ab\n\r", chars=3)  # a CR alone in the last read
+@example(text="\ufeff\ufeffa\r\n\ufeffb", chars=1)  # a byte order mark alone in the first read
 def test_line_blocks_end_every_line_in_one_lf(text, chars, tmp_path_factory):
     """From a path and from a StringIO under every newline setting, the
     blocks end in LF, join to the lines the text holds (as a universal-newline
-    read splits them) each ended by one LF, and number their first lines."""
+    read splits them) each ended by one LF, and number their first lines.
+    One U+FEFF that starts the text, a byte order mark, is not a line's."""
     path = tmp_path_factory.getbasetemp() / "lines.txt"
     path.write_bytes(text.encode("utf-8"))
     streams = [io.StringIO(text, newline=nl) for nl in (None, "", "\n", "\r", "\r\n")]
@@ -471,7 +473,7 @@ def test_line_blocks_end_every_line_in_one_lf(text, chars, tmp_path_factory):
     # end made LF under None, each LF made CR or CRLF under those two.
     for held, source in [(text, path)] + [(s.getvalue(), s) for s in streams]:
         lines = io.StringIO(held, newline="").readlines()
-        expected = "".join(line.rstrip("\r\n") + "\n" for line in lines)
+        expected = "".join(line.rstrip("\r\n") + "\n" for line in lines).removeprefix("\ufeff")
         with textio.open_text(source) as stream:
             blocks = list(textio.line_blocks(stream, chars))
         assert all(block.endswith("\n") for _, block in blocks)

@@ -144,6 +144,8 @@ def test_build_rank_table_columns():
 def test_build_rank_table_validates_lengths():
     with pytest.raises(ContractViolation):
         build_rank_table(["a"], np.array([1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ContractViolation, match="one entry per name"):
+        build_rank_table(["a", "b"], np.array([1.0]), np.array([1.0]))
 
 
 def test_a_node_name_on_two_rows_is_refused():
