@@ -85,7 +85,8 @@ class DirectedGraph:
         import scipy.sparse as sp
 
         n = len(names)
-        mult = np.asarray(mult, dtype=np.int64)
+        mult = np.asarray(mult)
+        mult = mult if mult.dtype == np.int32 else mult.astype(np.int64, copy=False)
         if mult.size and np.any(mult <= 0):
             raise ContractViolation("every edge multiplicity must be >= 1")
         # Merged multiplicities cannot wrap once the total fits.  A float64
@@ -416,7 +417,7 @@ def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sorted_keys[at], np.minimum.reduceat(order, at), group
 
 
-def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array, mult: array) -> bool:
+def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array) -> np.ndarray | None:
     """Parse a block of edge lines, each ending in LF, as bytes in NumPy.
 
     Lines starting with '#' and empty lines are skipped.  The name tokens
@@ -426,16 +427,16 @@ def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array, mult: ar
     to the graph are decoded.
 
     Appends the source and target node index of the block's edges to src
-    and dst and their multiplicities to mult.  Returns False, having changed
-    nothing, when any line needs the per-line parser: one _edge_fields
-    refuses, an empty or padded name, or two names sharing a key.
+    and dst and returns their multiplicities (int64).  Returns None, having
+    changed nothing, when any line needs the per-line parser: one
+    _edge_fields refuses, an empty or padded name, or two names sharing a key.
     """
     fields = _edge_fields(data)
     if fields is None:
-        return False
+        return None
     buf, tok_start, tok_len, values = fields
     if not len(tok_start):
-        return True
+        return values
     table.sync()
     words = _words(buf)
     group_keys, rep, group = _key_groups(_name_keys(words, tok_start, tok_len))
@@ -443,7 +444,7 @@ def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array, mult: ar
     if np.any(tok_len != tok_len[rep_of]) or not _same_bytes(
         words, tok_start, words, tok_start[rep_of], tok_len
     ):
-        return False
+        return None
 
     node = table.lookup(group_keys)
     known = node >= 0
@@ -452,7 +453,7 @@ def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array, mult: ar
     if np.any(tok_len[known_rep] != known_len) or not _same_bytes(
         words, tok_start[known_rep], _words(table.store), table.starts[known_ids], known_len
     ):
-        return False
+        return None
 
     # Decode the new names, in order of first appearance, in one call.
     new = np.flatnonzero(~known)
@@ -464,7 +465,7 @@ def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array, mult: ar
     blob[span_end - 1] = 10
     new_names = blob.tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
     if not all(new_names) or list(map(str.strip, new_names)) != new_names:
-        return False
+        return None
 
     if len(table.names) + len(new) > _INT32_MAX:
         raise ContractViolation(_TOO_MANY_NAMES)
@@ -474,17 +475,17 @@ def _bulk_edges(data: bytes, table: _NameTable, src: array, dst: array, mult: ar
     ends = node[group].astype(np.intc)
     src.frombytes(ends[0::2].tobytes())
     dst.frombytes(ends[1::2].tobytes())
-    mult.frombytes(values.tobytes())
-    return True
+    return values
 
 
 def _parse_edge_lines(
-    text: str, first_line_no: int, table: _NameTable, src: array, dst: array, mult: array
-) -> None:
+    text: str, first_line_no: int, table: _NameTable, src: array, dst: array
+) -> list[int]:
     """Parse a block of edge lines, each ending in LF, one line at a time:
     every form the format allows, and the first malformed line reported by
-    its number."""
-    names, index = table.names, table.index()
+    its number.  Appends node indices as _bulk_edges does and returns the
+    multiplicities."""
+    names, index, mult = table.names, table.index(), []
 
     def intern(name: str, line_no: int) -> int:
         name = name.strip()
@@ -519,6 +520,7 @@ def _parse_edge_lines(
         src.append(s)
         dst.append(t)
         mult.append(m)
+    return mult
 
 
 class _Digesting:
@@ -546,23 +548,32 @@ def load_edge_list(source: str | Path | IO[str]) -> DirectedGraph:
     table = _NameTable()
     # Grown in place (by realloc): block arrays joined at the end would hold
     # every record twice at the peak.  The node indices are C ints (int32),
-    # which the sparse build takes without a copy.
-    src, dst, mult = array("i"), array("i"), array("q")
+    # which the sparse build takes without a copy; so are the multiplicities
+    # while their running total fits (_int_type), then C long longs (int64).
+    src, dst, mult = array("i"), array("i"), array("i")
+    weight = 0.0  # exact below 2**53, and far past 2**31 - 1 above it
     digest = hashlib.sha256() if isinstance(source, (str, Path)) else None
     with open_text(source) as stream:
         blocks = line_blocks(_Digesting(stream, digest) if digest else stream, _BLOCK_BYTES)
         for line_no, text in blocks:
             # Lone surrogates, which only a caller's stream holds, are kept.
-            if not _bulk_edges(text.encode("utf-8", "surrogatepass"), table, src, dst, mult):
-                _parse_edge_lines(text, line_no, table, src, dst, mult)
+            values = _bulk_edges(text.encode("utf-8", "surrogatepass"), table, src, dst)
+            if values is None:
+                values = np.array(_parse_edge_lines(text, line_no, table, src, dst), np.int64)
+            weight += values.sum(dtype=np.float64)
+            if mult.typecode == "i" and _int_type(weight) is np.int64:
+                mult = array("q", mult)
+            # An array's typecode is also its NumPy type character.
+            mult.frombytes(values.astype(mult.typecode).tobytes())
 
     records = len(mult)
     if records == 0:
         raise ParseError("empty edge list: no edge records found")
 
-    # An array's typecode is also its NumPy type character.
+    names = table.names
+    del table  # the name bytes, keys and hash index: only the names are kept
     columns = [np.frombuffer(a, a.typecode) for a in (src, dst, mult)]
-    g = DirectedGraph.from_edges(table.names, *columns)
+    g = DirectedGraph.from_edges(names, *columns)
     g.ingest = IngestStats(records, digest.hexdigest() if digest else None)
     return g
 

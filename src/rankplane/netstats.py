@@ -52,7 +52,7 @@ class CorrelatorPoint:
 def kappa(p: np.ndarray, p_star: np.ndarray) -> float:
     """kappa = N * sum_i P(i) P*(i) - 1 of two probability vectors of length N.
 
-    The sum is exactly rounded (math.fsum), so its bits do not depend on how
+    The sum is exactly rounded (exact_sum), so its bits do not depend on how
     a BLAS dot would split it across threads.
     """
     if len(p) != len(p_star):

@@ -27,18 +27,50 @@ from .textio import NodeSubset, joined_fields, read_series, row_blocks, write_se
 
 # The probabilities of a solve sum to 1 but for float rounding, far below
 # this bound; a dropped or repeated row moves the sum by its probability.
-# The sum is exactly rounded (math.fsum), so the check does not depend on
-# the order of the entries.
+# The sum is exactly rounded (exact_sum, the bits of math.fsum), so the
+# check does not depend on the order of the entries.
 INPUT_SUM_TOL = 1e-9
 
 
 def exact_sum(values: np.ndarray, other: np.ndarray | None = None) -> float:
-    """The exactly rounded sum (math.fsum) of values, or of values * other,
-    taken one block of entries at a time, so that no list of all the terms
-    is built."""
-    blocks = (values[rows] if other is None else values[rows] * other[rows]
-              for rows in row_blocks(len(values)))
-    return math.fsum(itertools.chain.from_iterable(block.tolist() for block in blocks))
+    """The exactly rounded sum of values, or of values * other: the bits
+    math.fsum gives for the same terms, taken one block of entries at a time.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008): with every term below 2**e in magnitude and 2**m > n + 1, each
+    sigma of the ladder 2**(e + m), times 2**(m - 53) a step, splits the rests
+    exactly into rounded = (sigma + rest) - sigma, whose block sum is exact in
+    float64 (on the subnormal grid too), and rest - rounded.  math.fsum of
+    those sums rounds once.  Terms not finite, or too large for the ladder's
+    top, go to math.fsum itself, which gives their value or exception."""
+    n = len(values)
+    top = _largest(values) if other is None else _largest(values) * _largest(other)
+    m, e = (n + 1).bit_length(), math.frexp(top)[1]
+    if not (math.isfinite(top) and e + m <= 1023):
+        terms = (_terms(values, other, rows).tolist() for rows in row_blocks(n))
+        return math.fsum(itertools.chain.from_iterable(terms))
+    parts = []
+    for rows in row_blocks(n):
+        rest, sigma = _terms(values, other, rows), math.ldexp(1.0, e + m)
+        while rest.any():
+            rounded = sigma + rest
+            rounded -= sigma
+            parts.append(float(rounded.sum()))
+            rest = rest - rounded
+            sigma *= 2.0 ** (m - 53)
+    return math.fsum(parts)
+
+
+def _largest(values: np.ndarray) -> float:
+    """The largest magnitude in values (0 when empty), NaN if any is NaN."""
+    return float(np.maximum(values.max(initial=0.0), -values.min(initial=0.0)))
+
+
+def _terms(values: np.ndarray, other: np.ndarray | None, rows: slice) -> np.ndarray:
+    if other is None:
+        return values[rows]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, or beyond float: fsum's to judge
+        return values[rows] * other[rows]
 
 
 def check_probabilities(values, what: str, tol: float | None = INPUT_SUM_TOL) -> np.ndarray:

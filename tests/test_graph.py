@@ -673,6 +673,39 @@ def test_multiplicities_are_int32_while_the_total_edge_weight_fits(total, width)
             assert a.values.tobytes() == b.values.tobytes()
 
 
+@pytest.mark.parametrize("total, width", [(INT32_MAX, np.int32), (INT32_MAX + 1, np.int64)])
+@pytest.mark.parametrize("blocks", ["one_multiplicity", "across_blocks"])
+@pytest.mark.parametrize("pad", ["", " "], ids=["bulk", "per_line"])
+def test_the_parse_buffer_widens_past_int32_on_both_paths(total, width, blocks, pad, monkeypatch):
+    """The multiplicities are parsed into int32 until their running total
+    passes 2**31 - 1, by one multiplicity or in a later block, and into
+    int64 from then on; the graph equals the one built from int64."""
+    if blocks == "one_multiplicity":
+        edges = [("a", "b", total)]
+    else:  # each line a block of its own, and the last one crosses
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 16)
+        edges = [(f"v{i}", f"v{(i + 1) % 20}", 1) for i in range(20)]
+        edges += [("v3", "v7", (total - 20) // 2), ("v5", "v9", total - 20 - (total - 20) // 2)]
+    parsed, from_edges = [], DirectedGraph.from_edges.__func__
+
+    def spy(cls, names, src, dst, mult):
+        parsed.append(mult.dtype)  # the dtype of the parse buffer
+        return from_edges(cls, names, src, dst, mult)
+
+    monkeypatch.setattr(DirectedGraph, "from_edges", classmethod(spy))
+    # A padded name sends every line to the per-line parser.
+    g = load("".join(f"{pad}{s}\t{t}\t{m}\n" for s, t, m in edges))
+    assert parsed == [width]
+    assert g.total_edge_weight == total and g.adj.data.dtype == width
+    src, dst, mult = ([g.name_index[e[k]] if k < 2 else e[k] for e in edges] for k in range(3))
+    built = from_edges(DirectedGraph, g.names, src, dst, np.array(mult, dtype=np.int64))
+    wide = DirectedGraph.from_csr(
+        g.names, built.adj.indptr, built.adj.indices, built.adj.data.astype(np.int64)
+    )
+    assert wide.content_hash() == g.content_hash()
+    assert pagerank(wide).values.tobytes() == pagerank(g).values.tobytes()
+
+
 @pytest.mark.parametrize("text", ["a\tb\nc\td\n", " a\tb\nc\td\n"], ids=["bulk", "per_line"])
 def test_more_node_names_than_int32_holds_is_a_contract_violation(text, monkeypatch):
     monkeypatch.setattr(graph, "_INT32_MAX", 3)
@@ -690,9 +723,9 @@ def generated_list(tmp_path_factory):
 
 
 def test_edge_list_parse_peak_memory(generated_list):
-    """The parse holds each record's node indices as two int32 and its
-    multiplicity as one int64 until the sparse build, which then copies
-    only the multiplicities (as int32)."""
+    """The parse holds each record as three int32 (its node indices and its
+    multiplicity, while the total edge weight fits) until the sparse build,
+    and drops the name bytes, keys and hash index before it."""
     load(BASIC)  # imports happen outside the trace
     tracemalloc.start()
     try:
@@ -701,7 +734,7 @@ def test_edge_list_parse_peak_memory(generated_list):
     finally:
         tracemalloc.stop()
     assert g.ingest.lines > 900_000
-    assert peak <= 45 * g.ingest.lines, f"{peak / g.ingest.lines:.1f} bytes per record"
+    assert peak <= 32 * g.ingest.lines, f"{peak / g.ingest.lines:.1f} bytes per record"
 
 
 def test_the_transpose_holds_eight_bytes_per_nonzero(generated_list):

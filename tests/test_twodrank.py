@@ -10,6 +10,8 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from rankplane import (
     two_d_rank,
     write_rank_table,
 )
+from rankplane import textio
+from rankplane.twodrank import check_probabilities, exact_sum
 
 
 def naive_square_scan(k_pos, k_star_pos):
@@ -481,3 +485,103 @@ def test_every_built_table_reads_back_bit_for_bit(table):
     for col in ("pagerank", "cheirank", "pagerank_rank", "cheirank_rank", "rank2d"):
         assert getattr(back, col).tobytes() == getattr(table, col)[order].tobytes()
     assert back.meta == {k: str(v) for k, v in table.meta.items()}
+
+
+# ---- the exact sum -----------------------------------------------------------
+
+
+def outcome(sum_of, *args):
+    """sum_of(*args) as its float's hex, 'nan', or the type of the exception
+    it raises; a RuntimeWarning is raised too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            total = sum_of(*args)
+        except (OverflowError, ValueError) as exc:
+            return type(exc)
+    return "nan" if math.isnan(total) else total.hex()
+
+
+def fsum_outcome(values, other=None):
+    """outcome of math.fsum over the same float64 terms exact_sum takes."""
+    with np.errstate(all="ignore"):
+        terms = values if other is None else values * other
+    return outcome(math.fsum, terms.tolist())
+
+
+# Every binade from 2**-1074 to 1e308, both signs, zeros of both signs,
+# infinities and NaN; the rarer values are drawn less often, so that most
+# arrays take the extraction and the rest math.fsum itself.
+TERMS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308]),
+    st.floats(),
+)
+
+
+# Terms of one sign in one binade: their sums carry the most bits.
+ONE_BINADE = st.builds(
+    lambda mantissas, exponent, sign: [sign * math.ldexp(x, exponent) for x in mantissas],
+    st.lists(st.floats(0.5, 1.0, exclude_max=True), max_size=40),
+    st.integers(-1074, 1023),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.one_of(st.lists(TERMS, max_size=40), ONE_BINADE),
+    others=st.lists(TERMS, min_size=40, max_size=40),
+    rows=st.sampled_from([1, 7, None]),
+)
+def test_exact_sum_has_the_bits_of_fsum(values, others, rows):
+    values = np.array(values, dtype=np.float64)
+    other = np.array(others[: len(values)], dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(textio, "_BLOCK_ROWS", rows)
+        assert outcome(exact_sum, values) == fsum_outcome(values)
+        assert outcome(exact_sum, values, other) == fsum_outcome(values, other)
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([1e308, 1e308], OverflowError),
+        ([math.inf], math.inf.hex()),
+        ([math.inf, -math.inf], ValueError),
+        ([math.nan], "nan"),
+        ([], (0.0).hex()),
+        ([1e16, 1.0, -1e16], (1.0).hex()),
+        # The largest terms the extraction takes, and the smallest it leaves to fsum.
+        ([2.0**1020, 2.0**1020], (2.0**1021).hex()),
+        ([2.0**1021], (2.0**1021).hex()),
+    ],
+)
+def test_exact_sum_of_the_edge_cases_is_fsums(values, expected):
+    values = np.array(values, dtype=np.float64)
+    for args in ((values,), (values, np.ones(len(values)))):
+        assert outcome(exact_sum, *args) == fsum_outcome(*args) == expected
+
+
+def test_exact_sum_over_many_blocks_is_fsums():
+    rng = np.random.default_rng(29)
+    p = rng.pareto(1.1, 5 * 8192 + 3)
+    p /= p.sum()
+    q = rng.random(len(p)) * rng.choice([1.0, 1e-12, 1e12], len(p))
+    assert outcome(exact_sum, p) == fsum_outcome(p)
+    assert outcome(exact_sum, p, q) == fsum_outcome(p, q)
+
+
+def test_check_probabilities_holds_one_block_at_a_time():
+    """10^6 entries as Python floats would take 32 MB; the exact sum holds
+    one block of 8,192 entries and its parts."""
+    values = np.full(10**6, 1e-6)
+    tracemalloc.start()
+    try:
+        check_probabilities(values, "values")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
