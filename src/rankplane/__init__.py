@@ -12,10 +12,13 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The solver defaults, here so that the command-line parser loads no NumPy.
+# The solver and command defaults, here so that the command-line parser loads no NumPy.
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
+DEFAULT_GRID_CELLS = 100  # density grid cells per axis
+DEFAULT_WINDOW = 20  # overlap window size
+DEFAULT_BINS = 20  # logarithmic bins of a power-law fit
 
 # The module that defines each public name.  A name is imported from its
 # module on first use, so `import rankplane` loads no module, and NumPy and
@@ -68,7 +71,8 @@ _EXPORTS = {
     "write_overlap_series": "overlap",
 }
 
-__all__ = ["DEFAULT_ALPHA", "DEFAULT_MAX_ITER", "DEFAULT_TOL", *_EXPORTS]
+__all__ = ["DEFAULT_ALPHA", "DEFAULT_BINS", "DEFAULT_GRID_CELLS", "DEFAULT_MAX_ITER",
+           "DEFAULT_TOL", "DEFAULT_WINDOW", *_EXPORTS]
 
 
 def __getattr__(name: str):

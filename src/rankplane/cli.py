@@ -24,16 +24,15 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
+from . import (
+    DEFAULT_ALPHA, DEFAULT_BINS, DEFAULT_GRID_CELLS, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_WINDOW,
+)
 from .errors import ContractViolation, ConvergenceError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CONTRACT = 4
-
-DEFAULT_GRID_CELLS = 100
-DEFAULT_WINDOW = 20
 
 
 def _fit_range(text: str) -> tuple[float, float]:
@@ -44,6 +43,16 @@ def _fit_range(text: str) -> tuple[float, float]:
         return float(lo), float(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from exc
+
+
+def _require_full_table(table) -> None:
+    """Refuse a subset table, before anything is written: its probability
+    columns are parts of the graph's vectors and do not sum to 1."""
+    if "subset_size" in table.meta:
+        raise ContractViolation(
+            f"a subset table ({len(table)} members) has no correlator or null model: "
+            "its probabilities do not sum to 1"
+        )
 
 
 # ---- commands ---------------------------------------------------------------
@@ -116,6 +125,7 @@ def cmd_stats_density(args: argparse.Namespace) -> int:
     if args.null_samples is not None:  # sampled before any file is written
         if args.seed is None:
             raise ContractViolation("--null-samples requires --seed")
+        _require_full_table(table)
         n_ranks = len(table)
         _, p_curve = netstats.rank_curve(table.pagerank)
         _, p_star_curve = netstats.rank_curve(table.cheirank)
@@ -145,7 +155,8 @@ def cmd_stats_slice(args: argparse.Namespace) -> int:
 def cmd_stats_correlator(args: argparse.Namespace) -> int:
     from . import netstats, twodrank
     table = twodrank.read_rank_table(args.table)
-    damping = {k: float(table.meta.get(k, DEFAULT_ALPHA)) for k in ("alpha", "alpha_star")}
+    _require_full_table(table)
+    damping = {k: float(table.meta.get(k, "nan")) for k in ("alpha", "alpha_star")}
     point = netstats.CorrelatorPoint(netstats.kappa(table.pagerank, table.cheirank), **damping)
     netstats.write_correlator_points([point], args.output)
     print(f"kappa={point.kappa!r} -> {args.output}")
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MIN:MAX",
         help="rank range to fit (default: the whole curve)",
     )
-    fc.add_argument("--bins", type=int, default=20, help="logarithmic bins")
+    fc.add_argument("--bins", type=int, default=DEFAULT_BINS, help="logarithmic bins")
     fc.set_defaults(func=cmd_stats_fitcurve)
 
     ov = sub.add_parser("overlap", help="compare ranked name lists")

@@ -79,13 +79,24 @@ class DirectedGraph:
     def from_edges(
         cls, names: list[str], src: np.ndarray, dst: np.ndarray, mult: np.ndarray
     ) -> "DirectedGraph":
-        """Build the canonical CSR from parallel edge arrays (duplicates merged)."""
+        """Build the canonical CSR from parallel edge arrays (duplicates merged).
+
+        Arrays that are not 1-D or of unequal length, of a dtype other than
+        integer (bool included) or with an endpoint outside [0, n) are
+        refused; empty arrays of any dtype are the empty edge set.
+        """
         # Imported where a sparse matrix is built, so that the commands that
         # only read rank tables or name lists start without it.
         import scipy.sparse as sp
 
         n = len(names)
-        mult = np.asarray(mult)
+        src, dst, mult = np.asarray(src), np.asarray(dst), np.asarray(mult)
+        if not (src.ndim == dst.ndim == mult.ndim == 1 and len(src) == len(dst) == len(mult)):
+            raise ContractViolation(f"edge arrays of shapes {src.shape}, {dst.shape}, {mult.shape}")
+        if len(src) and not all(np.issubdtype(a.dtype, np.integer) for a in (src, dst, mult)):
+            raise ContractViolation("edge endpoints and multiplicities must be integer arrays")
+        if len(src) and not (min(src.min(), dst.min()) >= 0 and max(src.max(), dst.max()) < n):
+            raise ContractViolation(f"an edge endpoint lies outside the {n} nodes")
         mult = mult if mult.dtype == np.int32 else mult.astype(np.int64, copy=False)
         if mult.size and np.any(mult <= 0):
             raise ContractViolation("every edge multiplicity must be >= 1")
@@ -96,9 +107,7 @@ class DirectedGraph:
         if total >= 2.0**62 and sum(mult.tolist()) > _MAX_MULTIPLICITY:
             raise ContractViolation("the total edge weight exceeds 2**63 - 1")
         mult = mult.astype(_int_type(total), copy=False)
-        adj = sp.coo_matrix(
-            (mult, (np.asarray(src), np.asarray(dst))), shape=(n, n)
-        ).tocsr()
+        adj = sp.coo_matrix((mult, (src, dst)), shape=(n, n)).tocsr()
         return cls(names, adj)
 
     @classmethod
@@ -181,22 +190,14 @@ def invert(g: DirectedGraph) -> DirectedGraph:
     return DirectedGraph(g.names, g.adj.T.tocsr())
 
 
-def degree_distribution(g: DirectedGraph, direction: str, weighted: bool = True) -> dict[int, int]:
+def degree_distribution(g: DirectedGraph, direction: str) -> dict[int, int]:
     """Degree -> number of nodes with that in- or out-degree, over all nodes
-    (degree 0 included).
-
-    By default an edge of multiplicity m contributes m (consistent with the
-    stochastic-matrix column weights); weighted=False counts distinct
-    neighbors instead.
+    (degree 0 included).  An edge of multiplicity m counts m, as in the
+    stochastic matrix's column weights.
     """
     if direction not in ("in", "out"):
         raise ContractViolation(f"direction must be 'in' or 'out', got {direction!r}")
-    if weighted:
-        degrees = np.asarray(g.adj.sum(axis=1 if direction == "out" else 0, dtype=np.int64)).ravel()
-    elif direction == "out":
-        degrees = np.diff(g.adj.indptr).astype(np.int64)
-    else:
-        degrees = np.bincount(g.adj.indices, minlength=g.n_nodes).astype(np.int64)
+    degrees = np.asarray(g.adj.sum(axis=1 if direction == "out" else 0, dtype=np.int64)).ravel()
     values, counts = np.unique(degrees, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 

@@ -23,7 +23,7 @@ from typing import IO, TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import DEFAULT_MAX_ITER, DEFAULT_TOL
+from . import DEFAULT_BINS, DEFAULT_GRID_CELLS, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ContractViolation, ConvergenceError, ParseError
 from .textio import read_series, row_blocks, write_series
 from .twodrank import RankTable, check_probabilities, exact_sum
@@ -72,49 +72,35 @@ def correlator(p: RankVector, p_star: RankVector) -> CorrelatorPoint:
 def correlator_sweep(
     g: DirectedGraph,
     alphas: Sequence[float],
-    alpha_stars: Sequence[float] | None = None,
+    *,
     mode: str = "diagonal",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[CorrelatorPoint]:
-    """Correlator over a damping sweep.
+    """Correlator along the diagonal alpha = alpha_star, at each of `alphas`.
 
-    Modes: "diagonal" walks alpha = alpha_star over `alphas`; "fix_alpha"
-    holds alphas[0] and walks `alpha_stars`; "fix_alpha_star" holds
-    alpha_stars[0] and walks `alphas`.  Each direction is one power
-    iteration (`_solve_all`: pagerank, then cheirank), so the sweep builds
-    two operators.  Points where either solve fails to converge are kept in
-    the output, flagged converged=False with NaN kappa.
+    "diagonal" is the one mode.  Each direction is one power iteration
+    (`_solve_all`: pagerank, then cheirank), so the sweep builds two
+    operators.  Points where either solve fails to converge are kept in the
+    output, flagged converged=False with NaN kappa.
     """
-    if mode == "diagonal":
-        pairs = [(a, a) for a in alphas]
-    elif mode == "fix_alpha":
-        if len(alphas) != 1 or not alpha_stars:
-            raise ContractViolation("fix_alpha needs one alpha and a list of alpha_stars")
-        pairs = [(alphas[0], s) for s in alpha_stars]
-    elif mode == "fix_alpha_star":
-        if alpha_stars is None or len(alpha_stars) != 1 or not alphas:
-            raise ContractViolation("fix_alpha_star needs one alpha_star and a list of alphas")
-        pairs = [(a, alpha_stars[0]) for a in alphas]
-    else:
+    if mode != "diagonal":
         raise ContractViolation(f"unknown sweep mode {mode!r}")
-    for a, s in pairs:
-        if not (0.0 < a < 1.0 and 0.0 < s < 1.0):
-            raise ContractViolation(
-                f"sweep damping values must lie strictly inside (0, 1), got ({a}, {s})"
-            )
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ContractViolation(f"sweep alphas must lie strictly inside (0, 1), got {a}")
 
     from .googlerank import cheirank, pagerank
 
-    forward = _solve_all(pagerank, g, [a for a, _ in pairs], tol, max_iter)
-    backward = _solve_all(cheirank, g, [s for _, s in pairs], tol, max_iter)
+    forward = _solve_all(pagerank, g, alphas, tol, max_iter)
+    backward = _solve_all(cheirank, g, alphas, tol, max_iter)
     points: list[CorrelatorPoint] = []
-    for a, s in pairs:
-        p, p_star = forward[a], backward[s]
+    for a in alphas:
+        p, p_star = forward[a], backward[a]
         if p is None or p_star is None:
-            points.append(CorrelatorPoint(math.nan, a, s, converged=False))
+            points.append(CorrelatorPoint(math.nan, a, a, converged=False))
         else:
-            points.append(CorrelatorPoint(kappa(p.values, p_star.values), a, s))
+            points.append(CorrelatorPoint(kappa(p.values, p_star.values), a, a))
     return points
 
 
@@ -209,7 +195,7 @@ _BIN_BLOCK = 1 << 16
 
 
 def grid_from_rank_pairs(
-    k: np.ndarray, k_star: np.ndarray, n_ranks: int, cells: int = 100
+    k: np.ndarray, k_star: np.ndarray, n_ranks: int, cells: int = DEFAULT_GRID_CELLS
 ) -> DensityGrid:
     """Bin (rank, rank*) pairs on the cells x cells log grid, a block at a time."""
     if n_ranks < 2:
@@ -233,7 +219,7 @@ def grid_from_rank_pairs(
     return DensityGrid(counts=flat.reshape(cells, cells), n_ranks=n_ranks)
 
 
-def density_grid(table: RankTable, cells: int = 100) -> DensityGrid:
+def density_grid(table: RankTable, cells: int = DEFAULT_GRID_CELLS) -> DensityGrid:
     """Empirical density of the table's nodes in the log-rank plane."""
     return grid_from_rank_pairs(
         table.pagerank_rank, table.cheirank_rank, len(table), cells=cells
@@ -301,7 +287,7 @@ def fit_power_law(
     x: np.ndarray,
     y: np.ndarray,
     fit_range: tuple[float, float],
-    num_bins: int = 20,
+    num_bins: int = DEFAULT_BINS,
 ) -> PowerLawFit:
     """Fit value ~ x^(-exponent) on [fit_range] by binned log-log regression.
 
@@ -477,8 +463,8 @@ def generate_scale_free(
     if n < 100:
         raise ContractViolation(f"need n >= 100, got {n}")
     for name, mu in (("mu_in", mu_in), ("mu_out", mu_out)):
-        if not mu > 2.0:
-            raise ContractViolation(f"{name} must exceed 2 (finite mean), got {mu}")
+        if not 2.0 < mu < math.inf:
+            raise ContractViolation(f"{name} must be finite and exceed 2, got {mu}")
     if not mean_degree >= 1.0:
         raise ContractViolation(f"mean degree must be >= 1, got {mean_degree}")
     if seed < 0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
+from . import DEFAULT_WINDOW
 from .errors import ContractViolation, ParseError
 from .textio import NodeSubset, name_lines, read_series, write_series
 
@@ -99,7 +100,7 @@ def overlap_curve(a: RankedList, b: RankedList, ks_max: int) -> OverlapSeries:
     return OverlapSeries(kind="cumulative_f", points=tuple(points))
 
 
-def window_overlap(a: RankedList, b: RankedList, window: int = 20) -> OverlapSeries:
+def window_overlap(a: RankedList, b: RankedList, window: int = DEFAULT_WINDOW) -> OverlapSeries:
     """Shared-name fraction inside aligned non-overlapping rank windows.
 
     Windows tile the shorter list; a trailing partial window is dropped.
@@ -116,7 +117,7 @@ def window_overlap(a: RankedList, b: RankedList, window: int = 20) -> OverlapSer
 
 
 def subset_window_fraction(
-    ranking: RankedList, s: NodeSubset, window: int = 20
+    ranking: RankedList, s: NodeSubset, window: int = DEFAULT_WINDOW
 ) -> OverlapSeries:
     """Fraction of subset members inside each rank window of one list.
 

@@ -90,9 +90,11 @@ def check_probabilities(values, what: str, tol: float | None = INPUT_SUM_TOL) ->
     return values
 
 
-# The header values the package writes besides alpha and alpha_star: the
-# test each one's text must pass in a table of n rows, which NaN fails.
+# The header values the package writes: the test each one's text must pass
+# in a table of n rows, which NaN fails.
 _HEADER = {
+    "alpha": lambda text, n: 0.0 < float(text) <= 1.0,
+    "alpha_star": lambda text, n: 0.0 < float(text) <= 1.0,
     "tol": lambda text, n: 0.0 < float(text) < math.inf,
     "max_iter": lambda text, n: text.isascii() and text.isdigit() and float(text) >= 1,
     "n_nodes": lambda text, n: text.isascii() and text.isdigit() and float(text) >= n,
@@ -184,12 +186,6 @@ class RankTable:
         by_rank2d[self.rank2d - 1] = _entry_key(self.pagerank_rank, self.cheirank_rank)
         if np.any(by_rank2d[1:] <= by_rank2d[:-1]):
             raise ContractViolation("rank2d is not the square order of pagerank_rank and cheirank_rank")
-        try:
-            damping = {k: float(meta[k]) for k in ("alpha", "alpha_star") if k in meta}
-        except ValueError as exc:
-            raise ContractViolation(f"bad damping factor in the table header: {exc}") from None
-        if not all(0.0 < d <= 1.0 for d in damping.values()):  # written so that NaN fails it
-            raise ContractViolation(f"bad damping factor in the table header: {damping}")
         for key, test in _HEADER.items():
             try:
                 if key in meta and not test(meta[key], n):

@@ -165,7 +165,7 @@ def test_criterion_3_correlator():
 def test_criterion_4_beta_mu_relation():
     start = time.monotonic()
     g = generate_scale_free(100_000, 2.1, 2.76, 5.0, seed=7)
-    ks, ws = histogram_curve(degree_distribution(g, "in", weighted=True))
+    ks, ws = histogram_curve(degree_distribution(g, "in"))
     mu_fit = fit_power_law(ks, ws, (2.0, 200.0)).exponent
     assert abs(mu_fit - 2.1) < 0.15
 

@@ -249,7 +249,7 @@ def test_a_damping_factor_outside_0_1_in_the_table_header_exits_2(
     table = rank_table_for(random_edges, tmp_path)
     table.write_text(table.read_text().replace(" alpha=0.85 ", f" alpha={value} ", 1))
     assert run("stats", "correlator", table, "-o", tmp_path / "k.csv") == 2
-    assert "bad damping factor in the table header: {'alpha'" in capsys.readouterr().err
+    assert f"bad alpha in the table header: {value}" in capsys.readouterr().err
     assert not (tmp_path / "k.csv").exists()
 
 
@@ -299,11 +299,14 @@ def test_nan_tolerance_exits_4(random_edges, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, reason", [("--mu-in", "mu_in"), ("--mu-out", "mu_out"), ("--mean-degree", "mean degree")]
+    "flag, reason, value",
+    [("--mu-in", "mu_in", "nan"), ("--mu-out", "mu_out", "nan"),
+     ("--mean-degree", "mean degree", "nan"), ("--mu-in", "mu_in", "inf"),
+     ("--mu-out", "mu_out", "inf")],
 )
-def test_synth_refuses_nan_by_its_parameter(flag, reason, tmp_path, capsys):
+def test_synth_refuses_nan_by_its_parameter(flag, reason, value, tmp_path, capsys):
     out = tmp_path / "edges.tsv"
-    assert run("synth", 300, "--seed", 3, flag, "nan", "-o", out) == 4
+    assert run("synth", 300, "--seed", 3, flag, value, "-o", out) == 4
     err = capsys.readouterr().err
     assert f"{reason} must" in err and "not reachable" not in err
     assert not out.exists()
@@ -445,7 +448,7 @@ def test_subset_refuses_a_bad_damping_factor_in_the_table_header(
     table.write_text(text.replace(" alpha=0.85 ", f" alpha={value} ", 1))
     out = tmp_path / "sub.tsv"
     assert run("subset", table, probe_inputs["members"], "-o", out) == 2
-    assert "bad damping factor in the table header" in capsys.readouterr().err
+    assert f"bad alpha in the table header: {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -546,7 +549,13 @@ def test_mutated_input_files_exit_cleanly_or_refuse_before_writing(
         if code != 0:
             assert list(out.iterdir()) == []
         for path in out.iterdir():
-            assert non_finite_numbers(path, header=template[0] != "subset") == [], path.name
+            # The correlator file labels a damping factor its table does not state nan.
+            unstated = 0
+            if template[:2] == ("stats", "correlator"):
+                meta = read_rank_table(paths["table"]).meta
+                unstated = sum(key not in meta for key in ("alpha", "alpha_star"))
+            found = non_finite_numbers(path, header=template[0] != "subset")
+            assert found == ["nan"] * unstated, path.name
 
 
 # The header keys RankTable checks.  A subset table's header is its input
@@ -656,6 +665,40 @@ def test_correlator_output(random_edges, tmp_path):
     expected = len(table) * float(np.dot(table.pagerank, table.cheirank)) - 1.0
     assert float(cols["kappa"][0]) == expected
     assert float(cols["alpha"][0]) == 0.85
+
+
+@pytest.mark.parametrize("drop", [["alpha"], ["alpha_star"], ["alpha", "alpha_star"]], ids=" ".join)
+def test_correlator_labels_a_damping_factor_the_table_does_not_state_nan(
+    drop, random_edges, tmp_path
+):
+    """Such a table used to be labelled 0.85,0.85, whatever it was solved at."""
+    table = rank_table_for(random_edges, tmp_path, "--alpha", "0.5", "--alpha-star", "0.6")
+    text = table.read_text()
+    for key, value in (("alpha", "0.5"), ("alpha_star", "0.6")):
+        assert f" {key}={value} " in text
+        if key in drop:
+            text = text.replace(f" {key}={value} ", " ", 1)
+    table.write_text(text)
+    out = tmp_path / "kappa.csv"
+    assert run("stats", "correlator", table, "-o", out) == 0
+    _, cols = read_series(out, dict.fromkeys(["alpha", "alpha_star", "kappa", "converged"], "U"))
+    expected = {"alpha": "0.5", "alpha_star": "0.6", **dict.fromkeys(drop, "nan")}
+    assert {key: cols[key] for key in expected} == {k: [v] for k, v in expected.items()}
+
+
+@pytest.mark.parametrize(
+    "options", [[], ["--null-samples", "200", "--seed", "3"]], ids=["correlator", "density null"]
+)
+def test_a_subset_table_has_no_correlator_or_null_model(options, probe_inputs, tmp_path, capsys):
+    """Its probabilities are parts of the graph's vectors.  The correlator
+    used to be written from them with exit 0, and the null model was refused
+    only when its curve's sum was checked."""
+    command = "density" if options else "correlator"
+    out = tmp_path / "out.csv"
+    assert run("stats", command, probe_inputs["subtable"], "-o", out, *options) == 4
+    err = capsys.readouterr().err
+    assert "a subset table (30 members) has no correlator or null model" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_node_named_with_a_leading_hash_is_a_table_row(tmp_path):
@@ -993,3 +1036,23 @@ def test_installed_entry_point(tmp_path):
     assert "150 nodes" in result.stdout
     usage = subprocess.run([exe], capture_output=True, text=True, env=env, timeout=120)
     assert usage.returncode == 2, usage.stderr
+
+
+# ---- README ------------------------------------------------------------------------
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    """README's one `python` block runs as written, so the API it shows
+    cannot drift from the package."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", 2000, "--seed", 7, "-o", "edges.tsv") == 0
+    write_list(tmp_path / "members.txt", [f"n{i:04d}" for i in range(5)] + ["not-a-node"])
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert len(namespace["subset"]) == 5 and len(namespace["unresolved"]) == 1
+    assert len(namespace["points"]) == 4 and all(pt.converged for pt in namespace["points"])

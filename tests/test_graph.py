@@ -305,6 +305,26 @@ def test_rejects_nonpositive_multiplicity_in_from_edges():
         DirectedGraph.from_edges(["a", "b"], [0], [1], [0])
 
 
+@pytest.mark.parametrize(
+    "src, dst, mult, cause",
+    [
+        ([0], [1], [1.5], "integer arrays"),  # used to build weight 1
+        ([0], [1], [True], "integer arrays"),  # used to build weight 1
+        ([0], [5], [1], "outside the 2 nodes"),  # used to raise SciPy's ValueError
+        ([0], [-1], [1], "outside the 2 nodes"),  # used to raise SciPy's ValueError
+        ([0, 1], [1], [1, 1], r"shapes \(2,\), \(1,\), \(2,\)"),  # used to raise SciPy's ValueError
+        (0, 1, 1, r"shapes \(\), \(\), \(\)"),  # used to raise len()'s TypeError
+        ([[0]], [[1]], [[1]], "shapes"),  # used to raise SciPy's ValueError
+    ],
+    ids=["float multiplicity", "bool multiplicity", "target past n", "negative target",
+         "unequal lengths", "scalars", "2-D arrays"],
+)
+def test_from_edges_refuses_arrays_it_cannot_build_from(src, dst, mult, cause):
+    with pytest.raises(ContractViolation, match=cause):
+        DirectedGraph.from_edges(["a", "b"], src, dst, mult)
+    assert DirectedGraph.from_edges(["a", "b"], [], [], []).n_edges == 0  # the empty edge set
+
+
 def csr(data, indices, indptr, fmt="csr"):
     import scipy.sparse as sp
 
@@ -339,17 +359,15 @@ def test_the_constructor_refuses_an_adjacency_that_is_not_canonical(adj):
 
 def test_degree_distribution_weighted_vs_unweighted():
     g = load("a\tb\t3\na\tc\nb\tc\n")
-    w = degree_distribution(g, "out", weighted=True)
-    u = degree_distribution(g, "out", weighted=False)
-    # a: weight 4 over 2 distinct targets; b: 1/1; c: 0/0
+    w = degree_distribution(g, "out")
+    # a: weight 4 over 2 distinct targets; b: 1; c: 0
     assert w == {0: 1, 1: 1, 4: 1}
-    assert u == {0: 1, 1: 1, 2: 1}
-    assert sum(w.values()) == sum(u.values()) == 3
+    assert sum(w.values()) == 3
 
 
 def test_degree_distribution_in_direction():
     g = load("a\tb\t3\na\tc\nb\tc\n")
-    d = degree_distribution(g, "in", weighted=True)
+    d = degree_distribution(g, "in")
     assert d == {0: 1, 3: 1, 2: 1}
     assert sum(d.values()) == 3
 

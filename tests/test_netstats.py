@@ -161,15 +161,6 @@ def test_correlator_sweep_diagonal_matches_fresh_solves():
         assert pt.kappa == pytest.approx(expected, abs=1e-12)
 
 
-def test_correlator_sweep_fixed_modes():
-    rng = np.random.default_rng(4)
-    g = random_graph(rng, n=20)
-    points = correlator_sweep(g, [0.85], alpha_stars=[0.3, 0.7], mode="fix_alpha")
-    assert [(p.alpha, p.alpha_star) for p in points] == [(0.85, 0.3), (0.85, 0.7)]
-    points = correlator_sweep(g, [0.3, 0.7], alpha_stars=[0.85], mode="fix_alpha_star")
-    assert [(p.alpha, p.alpha_star) for p in points] == [(0.3, 0.85), (0.7, 0.85)]
-
-
 def test_correlator_sweep_rejects_bad_requests():
     rng = np.random.default_rng(4)
     g = random_graph(rng, n=10)
@@ -177,8 +168,6 @@ def test_correlator_sweep_rejects_bad_requests():
         correlator_sweep(g, [0.5], mode="zigzag")
     with pytest.raises(ContractViolation):
         correlator_sweep(g, [1.0])  # sweep domain is the open interval
-    with pytest.raises(ContractViolation):
-        correlator_sweep(g, [0.5, 0.6], alpha_stars=[0.1], mode="fix_alpha")
 
 
 def test_correlator_sweep_marks_failed_points():
@@ -458,7 +447,7 @@ def test_histogram_and_rank_curves():
     g = DirectedGraph.from_edges(
         ["a", "b", "c"], [0, 0, 1], [1, 2, 2], np.array([3, 1, 1])
     )
-    ks, ws = histogram_curve(degree_distribution(g, "out", weighted=True))
+    ks, ws = histogram_curve(degree_distribution(g, "out"))
     # degrees: a=4, b=1, c=0 -> degree-0 dropped
     np.testing.assert_array_equal(ks, [1, 4])
     np.testing.assert_allclose(ws, [1 / 3, 1 / 3])
@@ -740,7 +729,7 @@ def test_generate_scale_free_recovers_the_exponent():
     n = 30_000
     mu = 2.5
     g = generate_scale_free(n, mu, 2.9, 3.0, seed=123)
-    ks, ws = histogram_curve(degree_distribution(g, "in", weighted=True))
+    ks, ws = histogram_curve(degree_distribution(g, "in"))
     fit = fit_power_law(ks, ws, (2.0, 60.0), num_bins=12)
     assert fit.exponent == pytest.approx(mu, abs=0.2)
 

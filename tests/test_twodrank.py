@@ -216,8 +216,8 @@ def test_a_rank_table_file_with_rank2d_out_of_the_square_order_is_a_parse_error(
 @pytest.mark.parametrize(
     "meta, cause",
     [
-        ({"alpha": 2.0}, "bad damping factor in the table header: {'alpha': 2.0}"),
-        ({"alpha_star": math.nan}, "bad damping factor in the table header"),
+        ({"alpha": 2.0}, "bad alpha in the table header: 2.0"),
+        ({"alpha_star": math.nan}, "bad alpha_star in the table header"),
         ({"tol": math.nan}, "bad tol in the table header: nan"),
         ({"tol": 0.0}, "bad tol in the table header"),
         ({"tol": math.inf}, "bad tol in the table header"),
