@@ -86,21 +86,24 @@ def cmd_rank(args: argparse.Namespace) -> int:
     point = netstats.correlator(p, p_star)
     params = {k: getattr(args, k) for k in ("alpha", "alpha_star", "tol", "max_iter")}
     meta = {"graph_hash": g.content_hash(), "n_nodes": g.n_nodes, **params}
-    table = twodrank.build_rank_table(g.names, p.values, p_star.values, meta)
+    source = {
+        "path": str(args.edges),
+        "sha256": g.ingest.sha256,
+        "graph_hash": g.content_hash(),
+        "n_nodes": g.n_nodes,
+        "n_edges": g.n_edges,
+        "total_edge_weight": g.total_edge_weight,
+        "dangling_nodes": int((g.adj.indptr[1:] == g.adj.indptr[:-1]).sum()),
+    }
+    names = g.names
+    del g  # the table and the manifest need only the names: the CSR goes now
+    table = twodrank.build_rank_table(names, p.values, p_star.values, meta)
     twodrank.write_rank_table(table, args.output)
 
     manifest = {
         "command": "rank",
         "config": {**params, "workers": args.workers},
-        "input": {
-            "path": str(args.edges),
-            "sha256": g.ingest.sha256,
-            "graph_hash": g.content_hash(),
-            "n_nodes": g.n_nodes,
-            "n_edges": g.n_edges,
-            "total_edge_weight": g.total_edge_weight,
-            "dangling_nodes": int((g.adj.indptr[1:] == g.adj.indptr[:-1]).sum()),
-        },
+        "input": source,
         "solves": {
             "pagerank": {"iterations": p.iterations, "residual": p.residual},
             "cheirank": {"iterations": p_star.iterations, "residual": p_star.residual},
@@ -111,7 +114,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     with textio.open_text(args.manifest or f"{args.output}.manifest.json", "w") as out:
         out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(
-        f"ranked {g.n_nodes} nodes (pagerank {p.iterations} it, cheirank "
+        f"ranked {len(names)} nodes (pagerank {p.iterations} it, cheirank "
         f"{p_star.iterations} it, kappa={point.kappa:.6g}) -> {args.output}"
     )
     return EXIT_OK

@@ -303,7 +303,7 @@ class _NameTable:
         mask = len(self.slots) - 1
         found = np.full(len(keys), -1, dtype=np.int64)
         rows = np.arange(len(keys))
-        pos = (keys & np.uint64(mask)).astype(np.int64)
+        pos = self._homes(keys)
         while len(rows):
             ids = self.slots[pos]
             hit = (ids >= 0) & (self.keys[ids] == keys[rows])
@@ -312,12 +312,20 @@ class _NameTable:
             rows, pos = rows[probe], (pos[probe] + 1) & mask
         return found
 
+    def _homes(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's home slot: its high bits, which _name_keys mixes well.
+        A block's group keys arrive sorted, so their homes ascend and the
+        probes walk the slot table in order instead of missing the cache at
+        random, as low-bit homes would."""
+        shift = np.uint64(65 - len(self.slots).bit_length())
+        return (keys >> shift).astype(np.int64)
+
     def _place(self, ids: np.ndarray) -> None:
         """Put each name's index in the first free slot from its key's home
         on.  Of the names a round writes to one free slot, the one read back
         there is placed; the others probe on."""
         mask = len(self.slots) - 1
-        pos = (self.keys[ids] & np.uint64(mask)).astype(np.int64)
+        pos = self._homes(self.keys[ids])
         while len(ids):
             free = self.slots[pos] < 0
             self.slots[pos[free]] = ids[free]

@@ -479,18 +479,22 @@ def generate_scale_free(
     deg_out += k0_out - 1
 
     # Peak memory is the point here: every full-length array is dropped as
-    # soon as it is used, and stubs hold int32 node indices while they fit.
+    # soon as it is used, stubs hold int32 node indices while they fit, and
+    # they are shuffled in place.  permutation(k) is shuffle(arange(k)), so
+    # shuffling the stubs themselves makes the same draws and the same graph
+    # without an int64 index per stub.
     nodes = np.arange(n, dtype=_int_type(n))
-    in_stubs = np.repeat(nodes, deg_in)
+    dst = np.repeat(nodes, deg_in)  # in-stubs
     src = np.repeat(nodes, deg_out)  # out-stubs, in source order
     del nodes, deg_in, deg_out
-    m = min(len(in_stubs), len(src))
-    if len(in_stubs) > m:
-        in_stubs = in_stubs[rng.permutation(len(in_stubs))[:m]]
+    m = min(len(dst), len(src))
+    if len(dst) > m:
+        rng.shuffle(dst)
+        dst = dst[:m]
     elif len(src) > m:
-        src = src[rng.permutation(len(src))[:m]]
-    dst = in_stubs[rng.permutation(m)]
-    del in_stubs
+        rng.shuffle(src)
+        src = src[:m]
+    rng.shuffle(dst)
 
     # code = src * n + dst; sorted, its runs are the merged (source, target)
     # pairs in canonical CSR order.

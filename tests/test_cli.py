@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from rankplane import (
     read_rank_table,
     write_edge_list,
 )
-from rankplane import cli, graph
+from rankplane import cli, graph, twodrank
 from rankplane.cli import main
 from rankplane.textio import read_header, read_series
 
@@ -149,6 +150,26 @@ def test_rank_table_matches_the_library(random_edges, tmp_path):
     np.testing.assert_array_equal(table.cheirank[order], p_star.values)
     assert table.meta["alpha"] == "0.7"
     assert table.meta["alpha_star"] == "0.9"
+
+
+def test_rank_frees_the_graph_before_the_table(random_edges, tmp_path, monkeypatch):
+    """The table and the manifest need only the node names, so `rank` lets
+    the graph and its CSR go before it builds the table."""
+    held = []
+    build_table = twodrank.build_rank_table
+
+    def load(*args, **kwargs):
+        g = load_edge_list(*args, **kwargs)
+        held.extend((weakref.ref(g), weakref.ref(g.adj.indices)))
+        return g
+
+    def build(*args, **kwargs):
+        assert held and all(ref() is None for ref in held)
+        return build_table(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "load_edge_list", load)
+    monkeypatch.setattr(twodrank, "build_rank_table", build)
+    rank_table_for(random_edges, tmp_path)
 
 
 # ---- exit codes ------------------------------------------------------------------

@@ -709,7 +709,18 @@ def test_generate_scale_free_peak_memory():
     finally:
         tracemalloc.stop()
     assert g.n_edges > 900_000
-    assert peak <= 45e6  # the result itself holds about 18 MB
+    # About 18 B per matched stub; an int64 shuffle index per stub makes 22.
+    assert peak <= 20 * g.total_edge_weight
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [(21, "234b572daad2ee1a"), (22, "05ae0f133d5f6dc4")],
+    ids=["out_stubs_trimmed", "in_stubs_trimmed"],
+)
+def test_generate_scale_free_graph_is_pinned(seed, digest):
+    """The draws, and so the graph, of each side's stub trimming."""
+    assert generate_scale_free(100_000, 2.1, 2.76, 10.0, seed).content_hash() == digest
 
 
 def test_generate_scale_free_basic_shape():
